@@ -82,10 +82,13 @@ def scan(
 
 
 def _valid(p: tuple[int, ...], n: int, l: int, full: int, mirror_prune: bool) -> bool:
-    if mirror_prune:
-        mirrored = tuple(l - p[n - 1 - i] for i in range(n))
-        if mirrored < p:
-            return False
+    if mirror_prune:  # skip p when its mirror comes first lexicographically
+        for i in range(n):
+            q = l - p[n - 1 - i]
+            if q != p[i]:
+                if q < p[i]:
+                    return False
+                break
     pm = 0
     for s in p:
         pm |= 1 << s

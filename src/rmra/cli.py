@@ -77,7 +77,11 @@ def build_parser() -> _Parser:
     ps.add_argument("--l-limit", type=int, default=None)
     ps.add_argument("--tight-bounds", action="store_true")
     ps.add_argument("--no-filters", action="store_true", help="disable sound pruning filters")
-    ps.add_argument("--deterministic", action="store_true")
+    ps.add_argument(
+        "--deterministic",
+        action="store_true",
+        help="accepted for compatibility; every search is deterministic",
+    )
     ps.add_argument("--workers", type=int, default=1)
     ps.add_argument("--budget", type=int, default=None, help="max candidates examined")
     ps.add_argument("--checkpoint", default=None, help="resumable checkpoint file")
@@ -247,7 +251,6 @@ def _cmd_search(args) -> int:
             l_limit=args.l_limit,
             tight_bounds=args.tight_bounds,
             prune_filters=not args.no_filters,
-            deterministic=args.deterministic,
             workers=args.workers,
             candidate_budget=args.budget,
             checkpoint_path=args.checkpoint,
@@ -279,7 +282,6 @@ def _cmd_search(args) -> int:
             "l_limit": args.l_limit,
             "tight_bounds": args.tight_bounds,
             "filters": not args.no_filters,
-            "deterministic": args.deterministic,
             "workers": args.workers,
             "budget": args.budget,
         },

@@ -13,6 +13,12 @@ its verdict: grid points 1 and l-1 must be occupied in any valid array
 and validity is mirror-invariant, so mirror-canonical candidates suffice.
 Filters never change whether a stage is found or exhausted, only how much
 work proves it.
+
+There is one search mode. Every stage reports its lexicographically first
+valid array and the prefix count needed to reach it, whatever the worker
+count and whether or not the run was resumed. Mirror pruning is always on
+and never changes that answer: the mirror of a valid array is valid and lies
+in the same stage, so the first valid array is always mirror-canonical.
 """
 
 from __future__ import annotations
@@ -22,9 +28,11 @@ import json
 import math
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -51,6 +59,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+_CHECKPOINT_VERSION = 2
 
 
 class IndexOutOfRange(IndexError):
@@ -77,10 +86,10 @@ class Verdict(str, Enum):
 class SearchConfig:
     """Knobs for one search run.
 
-    ``deterministic`` guarantees the lexicographically-first valid array per
-    stage under any worker count; fast mode may return a different (equally
-    valid) array when running in parallel or with mirror pruning on.
-    ``candidate_budget`` caps the total candidates examined across the run.
+    ``prune_filters`` pins grid points 1 and l-1 (see :func:`candidate_count`).
+    ``workers`` sets how many threads scan a stage; it changes the speed of a
+    run, never its result. ``candidate_budget`` caps the total candidates
+    examined across the run.
     """
 
     n: int
@@ -88,8 +97,6 @@ class SearchConfig:
     l_limit: int | None = None
     tight_bounds: bool = False
     prune_filters: bool = True
-    mirror_prune: bool = False
-    deterministic: bool = False
     workers: int = 1
     candidate_budget: int | None = None
     checkpoint_path: str | Path | None = None
@@ -116,23 +123,18 @@ class SearchConfig:
 
     def filter_signature(self) -> dict:
         """Enumeration-affecting settings; must match to resume a checkpoint."""
-        return {
-            "prune_filters": self.prune_filters,
-            "mirror_prune": self.mirror_prune,
-            "deterministic": self.deterministic,
-        }
+        return {"prune_filters": self.prune_filters}
 
 
 @dataclass(frozen=True)
 class StageResult:
     """One aperture's verdict.
 
-    ``candidate_index`` is the unfiltered lexicographic rank of the found
-    array, a stable identifier independent of filter settings.
-    ``candidates_examined`` counts the stage's own enumeration: in
-    deterministic (or serial) mode it is the lexicographic prefix needed to
-    reach the verdict, identical for serial, parallel and resumed runs; in
-    fast parallel mode it is the work actually performed.
+    ``array`` is the lexicographically first valid array of the stage.
+    ``candidate_index`` is its unfiltered lexicographic rank, a stable
+    identifier independent of filter settings. ``candidates_examined`` is
+    the lexicographic prefix of the stage's enumeration needed to reach the
+    verdict, identical for serial, parallel and resumed runs.
     """
 
     l: int
@@ -277,95 +279,65 @@ def _unrank_active(n: int, l: int, filtered: bool, index: int) -> list[int]:
     return _unrank_lex(index, l - 1, n - 2)
 
 
-@dataclass
-class _StageScan:
-    """Read-only descriptor shared by the serial and parallel stage drivers."""
-
-    n: int
-    l: int
-    filtered: bool
-    mirror: bool
-    start: int
-    cap: int  # candidates this run may examine (budget-clamped)
-    size: int  # full active-enumeration size
+def _scan_chunk(
+    n: int, l: int, filtered: bool, lo: int, hi: int
+) -> tuple[int, list[int]] | None:
+    """(rank, positions) of the first valid candidate in [lo, hi), or None."""
+    first = _unrank_active(n, l, filtered, lo)
+    _, offset, positions = kernel.scan(n, l, first, hi - lo, filtered, True)
+    return None if offset < 0 else (lo + offset, positions)
 
 
-def _scan_chunk(sc: _StageScan, lo: int, hi: int) -> tuple[int, int, list[int] | None]:
-    first = _unrank_active(sc.n, sc.l, sc.filtered, lo)
-    examined, offset, positions = kernel.scan(
-        sc.n, sc.l, first, hi - lo, sc.filtered, sc.mirror
-    )
-    return examined, (lo + offset if offset >= 0 else -1), positions
+class _InlineExecutor(Executor):
+    """Runs each chunk on the calling thread, at submission."""
+
+    def submit(self, fn, /, *args):
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
-def _scan_serial(
-    sc: _StageScan, on_progress: Callable[[int], None] | None
-) -> tuple[int, int, list[int] | None]:
-    examined = 0
-    lo = sc.start
-    end = sc.start + sc.cap
-    while lo < end:
-        hi = min(lo + _CHUNK, end)
-        got, rank, positions = _scan_chunk(sc, lo, hi)
-        examined += got
-        if rank >= 0:
-            return examined, rank, positions
-        lo = hi
-        if on_progress is not None:
-            on_progress(lo)
-    return examined, -1, None
+def _scan(
+    n: int,
+    l: int,
+    filtered: bool,
+    start: int,
+    end: int,
+    workers: int,
+    on_progress: Callable[[int], None] | None,
+) -> tuple[int, list[int]] | None:
+    """First valid candidate in [start, end) of the active enumeration.
 
-
-def _scan_parallel(
-    sc: _StageScan, workers: int, deterministic: bool
-) -> tuple[int, int, list[int] | None]:
-    end = sc.start + sc.cap
-    chunk = max(4096, min(_CHUNK, sc.cap // (workers * 4) + 1))
-    bounds = [(lo, min(lo + chunk, end)) for lo in range(sc.start, end, chunk)]
-    examined = 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        if deterministic:
-            # Confirm chunks strictly in rank order: the first find seen at
-            # the confirmation frontier is the global lexicographic first.
-            window = workers * 4
-            futures: dict[int, object] = {}
-            submitted = 0
-            try:
-                for idx in range(len(bounds)):
-                    while submitted < len(bounds) and submitted < idx + window:
-                        futures[submitted] = pool.submit(
-                            _scan_chunk, sc, *bounds[submitted]
-                        )
-                        submitted += 1
-                    got, rank, positions = futures.pop(idx).result()
-                    examined += got
-                    if rank >= 0:
-                        return examined, rank, positions
-            finally:
-                for f in futures.values():
-                    f.cancel()
-            return examined, -1, None
-
-        pending = {pool.submit(_scan_chunk, sc, lo, hi) for lo, hi in bounds}
-        best: tuple[int, list[int]] | None = None
-        while pending and best is None:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for f in done:
-                got, rank, positions = f.result()
-                examined += got
-                if rank >= 0 and (best is None or rank < best[0]):
-                    best = (rank, positions)
-        for f in pending:
-            f.cancel()
-        for f in pending:  # in-flight chunks finish and still count
-            if not f.cancelled():
-                got, rank, positions = f.result()
-                examined += got
-                if rank >= 0 and rank < best[0]:
-                    best = (rank, positions)
-        if best is not None:
-            return examined, best[0], best[1]
-        return examined, -1, None
+    Chunks are confirmed strictly in rank order, so the first find at the
+    confirmation frontier is the lexicographic first, for any worker count.
+    One worker scans inline; more keep a window of ``workers * 4`` chunks in
+    flight on a thread pool. ``on_progress`` receives each confirmed frontier:
+    no valid candidate lies between ``start`` and it.
+    """
+    if workers == 1:
+        chunk, window, pool = _CHUNK, 1, _InlineExecutor()
+    else:
+        chunk = max(4096, min(_CHUNK, (end - start) // (workers * 4) + 1))
+        window, pool = workers * 4, ThreadPoolExecutor(max_workers=workers)
+    los = iter(range(start, end, chunk))
+    ahead: deque[tuple[int, Future]] = deque()
+    with pool:
+        try:
+            while True:
+                for lo in islice(los, window - len(ahead)):
+                    hi = min(lo + chunk, end)
+                    ahead.append((hi, pool.submit(_scan_chunk, n, l, filtered, lo, hi)))
+                if not ahead:
+                    return None
+                hi, future = ahead.popleft()
+                found = future.result()
+                if found is not None:
+                    return found
+                if on_progress is not None:
+                    on_progress(hi)
+        finally:
+            for _, f in ahead:
+                f.cancel()
 
 
 def run_stage(
@@ -379,37 +351,29 @@ def run_stage(
 ) -> StageResult:
     """Scan one aperture's candidates; stop at the first valid array.
 
-    ``start_index`` resumes the stage mid-enumeration (checkpointing);
-    reported counts stay equivalent to an uninterrupted run.
+    ``start_index`` resumes the stage mid-enumeration (checkpointing). It
+    must be a confirmed frontier: no valid array may lie below it. Every
+    frontier passed to ``on_progress``, and so every checkpoint, meets that
+    condition, and it is what keeps mirror pruning exact on resume. Reported
+    counts then equal those of an uninterrupted run.
     """
     t0 = time.perf_counter()
     filtered = cfg.prune_filters
-    mirror = cfg.mirror_prune and not cfg.deterministic
     size = candidate_count(n, l, filtered)
     remaining = size - start_index
     if remaining < 0:
         raise ValueError("start_index beyond stage size")
     cap = remaining if budget_remaining is None else min(remaining, budget_remaining)
-    sc = _StageScan(n, l, filtered, mirror, start_index, cap, size)
-
-    if cap == 0:
-        examined_run, rank, positions = 0, -1, None
-    elif cfg.workers == 1:
-        examined_run, rank, positions = _scan_serial(sc, on_progress)
-    else:
-        examined_run, rank, positions = _scan_parallel(sc, cfg.workers, cfg.deterministic)
+    found = _scan(n, l, filtered, start_index, start_index + cap, cfg.workers, on_progress)
     elapsed = time.perf_counter() - t0
 
-    if rank >= 0:
+    if found is not None:
+        rank, positions = found
         arr = SensorArray(tuple(positions))
-        if cfg.deterministic or cfg.workers == 1:
-            examined = rank + 1  # prefix count, identical for any worker split
-        else:
-            examined = start_index + examined_run
         return StageResult(
             l=l,
             outcome=StageOutcome.FOUND,
-            candidates_examined=examined,
+            candidates_examined=rank + 1,  # prefix count, identical for any worker split
             elapsed=elapsed,
             array=arr,
             candidate_index=rank_candidate(n, l, arr),
@@ -440,7 +404,7 @@ def checkpoint_save(
 ) -> None:
     """Write a resumable snapshot; the digest seals all other fields."""
     payload = {
-        "version": 1,
+        "version": _CHECKPOINT_VERSION,
         "n": n,
         "l": l,
         "next_index": next_index,
@@ -459,8 +423,14 @@ def checkpoint_load(path: str | Path) -> dict:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint(f"unreadable checkpoint {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("version") != 1:
-        raise CorruptCheckpoint(f"unsupported checkpoint version in {path}")
+    if not isinstance(payload, dict):
+        raise CorruptCheckpoint(f"unreadable checkpoint {path}: not a JSON object")
+    version = payload.get("version")
+    if version != _CHECKPOINT_VERSION:
+        raise CorruptCheckpoint(
+            f"checkpoint {path} has version {version!r}; this rmra reads only"
+            f" version {_CHECKPOINT_VERSION}"
+        )
     digest = payload.get("digest")
     if digest != _digest({k: v for k, v in payload.items() if k != "digest"}):
         raise CorruptCheckpoint(f"digest mismatch in {path}")
@@ -558,7 +528,7 @@ def loses_search(
             cfg,
             start_index=start_index,
             budget_remaining=avail,
-            on_progress=progress if ckpt is not None and cfg.workers == 1 else None,
+            on_progress=progress if ckpt is not None else None,
         )
         stages.append(result)
         start_index = 0

@@ -52,7 +52,7 @@ def test_criterion_1_optimal_arrays_six_to_ten():
     """Searches for 6..10 sensors reach apertures 6, 9, 12, 15, 19 with
     exhaustion proofs; the found arrays equal the published rows."""
     for n, expected in TABLE3.items():
-        out = loses_search(SearchConfig(n=n, deterministic=True, prune_filters=False))
+        out = loses_search(SearchConfig(n=n, prune_filters=False))
         assert out.verdict is Verdict.OPTIMAL
         assert out.optimal_aperture == OPTIMAL_APERTURES[n]
         assert out.best_array.positions == expected
@@ -64,10 +64,10 @@ def test_criterion_1_optimal_arrays_six_to_ten():
 
 
 def test_criterion_2_eleven_sensor_full_reproduction():
-    """Deterministic unfiltered run: 12 found stages at L=11..22 matching the
+    """Unfiltered run: 12 found stages at L=11..22 matching the
     published per-stage rows, then exhaustion at L=23 after exactly 497420
     candidates."""
-    out = loses_search(SearchConfig(n=11, deterministic=True, prune_filters=False))
+    out = loses_search(SearchConfig(n=11, prune_filters=False))
     assert out.verdict is Verdict.OPTIMAL
     assert out.optimal_aperture == 22
     found = [s for s in out.stages if s.outcome is StageOutcome.FOUND]
@@ -88,7 +88,7 @@ def test_criterion_2_eleven_sensor_full_reproduction():
 def test_criterion_3_twelve_sensor_optimum():
     """12 sensors: optimal aperture 26 with the exhaustion proof at 27
     (C(26,10) = 5,311,735 candidates unfiltered)."""
-    out = loses_search(SearchConfig(n=12, deterministic=True, prune_filters=False))
+    out = loses_search(SearchConfig(n=12, prune_filters=False))
     assert out.verdict is Verdict.OPTIMAL
     assert out.optimal_aperture == 26
     last = out.stages[-1]
@@ -100,7 +100,7 @@ def test_criterion_3_twelve_sensor_optimum():
 @pytest.mark.skipif(not EXTENDED, reason="extended run; set RMRA_EXTENDED=1")
 def test_criterion_3_thirteen_sensor_optimum_extended():
     """13 sensors (extended): optimal aperture 32, exhaustion proof at 33."""
-    out = loses_search(SearchConfig(n=13, deterministic=True, prune_filters=True))
+    out = loses_search(SearchConfig(n=13, prune_filters=True))
     assert out.verdict is Verdict.OPTIMAL
     assert out.optimal_aperture == 32
     last = out.stages[-1]
@@ -204,8 +204,8 @@ def test_criterion_7d_filtered_verdicts_match_unfiltered():
     cfg_u = {}
     cfg_f = {}
     for n in range(6, 21):
-        cfg_u[n] = SearchConfig(n=n, deterministic=True, prune_filters=False)
-        cfg_f[n] = SearchConfig(n=n, deterministic=True, prune_filters=True)
+        cfg_u[n] = SearchConfig(n=n, prune_filters=False)
+        cfg_f[n] = SearchConfig(n=n, prune_filters=True)
     pairs = 0
     for n in range(6, 21):
         l = n
@@ -240,7 +240,7 @@ def test_criterion_7e_rank_unrank_round_trips():
 def test_criterion_7f_checkpoint_resume_identical(tmp_path):
     """Resuming a mid-stage checkpoint reproduces the uninterrupted outcome
     byte for byte (timing aside)."""
-    cfg = SearchConfig(n=11, deterministic=True, prune_filters=False)
+    cfg = SearchConfig(n=11, prune_filters=False)
     uninterrupted = loses_search(cfg)
     prefix = [s for s in uninterrupted.stages if s.l < 22]
     path = tmp_path / "resume.ckpt"
@@ -248,7 +248,7 @@ def test_criterion_7f_checkpoint_resume_identical(tmp_path):
         path, n=11, l=22, next_index=100, stages=prefix, filters=cfg.filter_signature()
     )
     resumed = loses_search(
-        SearchConfig(n=11, deterministic=True, prune_filters=False, checkpoint_path=path)
+        SearchConfig(n=11, prune_filters=False, checkpoint_path=path)
     )
     a = json.dumps(resumed.to_dict(include_timing=False), sort_keys=True)
     b = json.dumps(uninterrupted.to_dict(include_timing=False), sort_keys=True)
@@ -256,11 +256,11 @@ def test_criterion_7f_checkpoint_resume_identical(tmp_path):
 
 
 def test_criterion_7g_parallel_equals_serial():
-    """Eight workers and one worker produce identical deterministic outcomes
+    """Eight workers and one worker produce identical outcomes
     for every sensor count up to 11."""
     for n in range(6, 12):
-        serial = loses_search(SearchConfig(n=n, deterministic=True, workers=1))
-        parallel = loses_search(SearchConfig(n=n, deterministic=True, workers=8))
+        serial = loses_search(SearchConfig(n=n, workers=1))
+        parallel = loses_search(SearchConfig(n=n, workers=8))
         assert parallel.to_dict(include_timing=False) == serial.to_dict(include_timing=False)
 
 

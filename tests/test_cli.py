@@ -27,12 +27,12 @@ class TestSearch:
 
     def test_matches_published_optima_six_to_ten(self, capsys):
         for n, positions in TABLE3.items():
-            code, out, err = run(capsys, "search", "--n", str(n), "--deterministic")
+            code, out, err = run(capsys, "search", "--n", str(n))
             assert code == 0
             assert f"best array: [{', '.join(str(p) for p in positions)}]" in out
 
     def test_eleven_stage_narrative(self, capsys):
-        code, out, err = run(capsys, "search", "--n", "11", "--deterministic")
+        code, out, err = run(capsys, "search", "--n", "11")
         assert code == 0
         assert err.count("Valid configuration found for L = ") == 12
         assert "Failure to find L = 23 for N = 11" in err
@@ -62,17 +62,24 @@ class TestSearch:
         assert code == 2
 
     def test_workers_flag(self, capsys):
-        code, out, _ = run(capsys, "search", "--n", "7", "--deterministic", "--workers", "4")
+        code, out, _ = run(capsys, "search", "--n", "7", "--workers", "4")
         assert code == 0
         assert "aperture: 9" in out
 
     def test_json_round_trip_rendering(self, capsys):
-        code, json_out, _ = run(
-            capsys, "search", "--n", "7", "--deterministic", "--format", "json"
-        )
+        code, json_out, _ = run(capsys, "search", "--n", "7", "--format", "json")
         env = json.loads(json_out)
-        code, text_out, _ = run(capsys, "search", "--n", "7", "--deterministic")
+        code, text_out, _ = run(capsys, "search", "--n", "7")
         assert render_text(env) == text_out
+
+    def test_deterministic_flag_is_accepted_no_op(self, capsys):
+        # every search is deterministic; the flag stays for old command lines
+        _, plain, _ = run(capsys, "search", "--n", "7")
+        code, flagged, _ = run(capsys, "search", "--n", "7", "--deterministic")
+        assert code == 0
+        assert flagged == plain
+        _, out, _ = run(capsys, "search", "--n", "7", "--deterministic", "--format", "json")
+        assert "deterministic" not in json.loads(out)["inputs"]
 
 
 class TestAnalyze:

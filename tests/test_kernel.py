@@ -79,15 +79,20 @@ def test_single_candidate_matches_reference_checker(name):
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_mirror_prune_counts_skipped_candidates(name):
+    # The first valid array of a stage is mirror-canonical, so pruning never
+    # changes a full scan: a find keeps its offset and array, and an exhausted
+    # stage still counts every candidate, skipped mirrors included.
     scan = BACKENDS[name]
-    n, l = 6, 9
-    size = candidate_count(n, l, False)
-    first = _unrank_active(n, l, False, 0)
-    plain = scan(n, l, list(first), size, False, False)
-    pruned = scan(n, l, list(first), size, False, True)
-    # exhausted stage: both enumerate everything
-    if plain[1] == -1:
-        assert pruned[0] == plain[0] == size
+    stages = [(6, 6), (6, 9), (7, 9), (8, 12), (8, 13), (9, 15), (10, 19), (11, 22)]
+    outcomes = set()
+    for filtered in (False, True):
+        for n, l in stages:
+            plain = full_scan(scan, n, l, filtered, False)
+            assert full_scan(scan, n, l, filtered, True) == plain, (n, l, filtered)
+            if plain[1] == -1:
+                assert plain[0] == candidate_count(n, l, filtered)
+            outcomes.add(plain[1] == -1)
+    assert outcomes == {False, True}  # both found and exhausted stages covered
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))

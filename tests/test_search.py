@@ -28,6 +28,7 @@ from rmra.search import (
     run_stage,
     unrank_candidate,
 )
+from rmra.search import _digest
 
 from conftest import OPTIMAL_APERTURES, TABLE4
 
@@ -109,32 +110,32 @@ class TestRankUnrank:
 
 class TestRunStage:
     def test_first_stage_eleven(self):
-        cfg = SearchConfig(n=11, deterministic=True)
+        cfg = SearchConfig(n=11)
         res = run_stage(11, 11, cfg)
         assert res.outcome is StageOutcome.FOUND
         assert res.array.positions == TABLE4[0]
         assert res.candidate_index == 1  # unfiltered rank, whatever the filters
 
     def test_first_stage_six(self):
-        res = run_stage(6, 6, SearchConfig(n=6, deterministic=True))
+        res = run_stage(6, 6, SearchConfig(n=6))
         assert res.outcome is StageOutcome.FOUND
         assert res.array.positions == (0, 1, 2, 3, 5, 6)
 
     def test_exhausted_stage_count(self):
-        cfg = SearchConfig(n=11, deterministic=True, prune_filters=False)
+        cfg = SearchConfig(n=11, prune_filters=False)
         res = run_stage(11, 23, cfg)
         assert res.outcome is StageOutcome.EXHAUSTED
         assert res.candidates_examined == 497420
 
     def test_budget_cuts_stage(self):
-        cfg = SearchConfig(n=11, deterministic=True, prune_filters=False)
+        cfg = SearchConfig(n=11, prune_filters=False)
         res = run_stage(11, 23, cfg, budget_remaining=1000)
         assert res.outcome is StageOutcome.BUDGET_EXCEEDED
         assert res.candidates_examined == 1000
 
     def test_found_stages_pass_reference_checker(self):
         for n in (6, 7, 8):
-            cfg = SearchConfig(n=n, deterministic=True)
+            cfg = SearchConfig(n=n)
             for l in range(n, OPTIMAL_APERTURES[n] + 1):
                 res = run_stage(n, l, cfg)
                 assert res.outcome is StageOutcome.FOUND
@@ -143,19 +144,19 @@ class TestRunStage:
 
 class TestLosesSearch:
     def test_six_sensors(self):
-        out = loses_search(SearchConfig(n=6, deterministic=True))
+        out = loses_search(SearchConfig(n=6))
         assert out.verdict is Verdict.OPTIMAL
         assert out.optimal_aperture == 6
         assert out.best_array.positions == (0, 1, 2, 3, 5, 6)
         assert [s.outcome for s in out.stages] == [StageOutcome.FOUND, StageOutcome.EXHAUSTED]
 
     def test_nine_sensors(self):
-        out = loses_search(SearchConfig(n=9, deterministic=True))
+        out = loses_search(SearchConfig(n=9))
         assert out.verdict is Verdict.OPTIMAL
         assert out.optimal_aperture == 15
 
     def test_eleven_sensors_stage_trail(self):
-        out = loses_search(SearchConfig(n=11, deterministic=True))
+        out = loses_search(SearchConfig(n=11))
         assert out.verdict is Verdict.OPTIMAL
         assert out.optimal_aperture == 22
         found = [s for s in out.stages if s.outcome is StageOutcome.FOUND]
@@ -169,41 +170,31 @@ class TestLosesSearch:
             assert rmra_check(s.array, 11, s.l).overall
 
     def test_budget_stops_run(self):
-        out = loses_search(SearchConfig(n=11, deterministic=True, candidate_budget=500))
+        out = loses_search(SearchConfig(n=11, candidate_budget=500))
         assert out.verdict is Verdict.NEAR_OPTIMAL
         assert out.reason == "candidate budget exhausted"
         assert out.stages[-1].outcome is StageOutcome.BUDGET_EXCEEDED
         assert out.optimal_aperture == out.stages[-2].l
 
     def test_aperture_limit_stops_run(self):
-        out = loses_search(SearchConfig(n=6, deterministic=True, l_limit=6))
+        out = loses_search(SearchConfig(n=6, l_limit=6))
         assert out.verdict is Verdict.NEAR_OPTIMAL
         assert out.reason == "aperture limit reached"
         assert out.optimal_aperture == 6
 
     def test_none_found_when_started_past_optimum(self):
-        out = loses_search(SearchConfig(n=6, l_start=8, deterministic=True))
+        out = loses_search(SearchConfig(n=6, l_start=8))
         assert out.verdict is Verdict.NONE_FOUND
         assert out.best_array is None
         assert out.stages[0].outcome is StageOutcome.EXHAUSTED
 
     def test_filtered_and_unfiltered_agree(self):
         for n in (6, 7, 8):
-            plain = loses_search(SearchConfig(n=n, deterministic=True, prune_filters=False))
-            pruned = loses_search(SearchConfig(n=n, deterministic=True, prune_filters=True))
+            plain = loses_search(SearchConfig(n=n, prune_filters=False))
+            pruned = loses_search(SearchConfig(n=n, prune_filters=True))
             assert plain.optimal_aperture == pruned.optimal_aperture
             assert plain.best_array.positions == pruned.best_array.positions
             assert [s.outcome for s in plain.stages] == [s.outcome for s in pruned.stages]
-
-    def test_fast_mode_matches_deterministic_apertures(self):
-        for n in (6, 7, 8):
-            det = loses_search(SearchConfig(n=n, deterministic=True))
-            fast = loses_search(SearchConfig(n=n, deterministic=False, mirror_prune=True))
-            assert fast.optimal_aperture == det.optimal_aperture
-            assert [s.outcome for s in fast.stages] == [s.outcome for s in det.stages]
-            for s in fast.stages:
-                if s.outcome is StageOutcome.FOUND:
-                    assert rmra_check(s.array, n, s.l).overall
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
@@ -221,23 +212,26 @@ class TestLosesSearch:
 class TestParallel:
     @pytest.mark.parametrize("n", [6, 7, 8, 11])
     def test_parallel_deterministic_equals_serial(self, n):
-        serial = loses_search(SearchConfig(n=n, deterministic=True, workers=1))
-        parallel = loses_search(SearchConfig(n=n, deterministic=True, workers=8))
+        serial = loses_search(SearchConfig(n=n, workers=1))
+        parallel = loses_search(SearchConfig(n=n, workers=8))
         assert parallel.to_dict(include_timing=False) == serial.to_dict(include_timing=False)
 
-    def test_parallel_fast_mode_sound(self):
-        out = loses_search(SearchConfig(n=9, deterministic=False, workers=8))
-        assert out.verdict is Verdict.OPTIMAL
-        assert out.optimal_aperture == 15
-        for s in out.stages:
-            if s.outcome is StageOutcome.FOUND:
-                assert rmra_check(s.array, 9, s.l).overall
+    def test_parallel_progress_reports_chunk_frontiers(self):
+        cfg = SearchConfig(n=10, prune_filters=False, workers=2)
+        frontiers = []
+        res = run_stage(10, 20, cfg, on_progress=frontiers.append)
+        assert res.outcome is StageOutcome.EXHAUSTED
+        size = candidate_count(10, 20, False)
+        # one report per confirmed chunk, in rank order, ending at the stage end
+        chunk = frontiers[0]
+        assert 0 < chunk < size
+        assert frontiers == [min(hi, size) for hi in range(chunk, size + chunk, chunk)]
 
 
 class TestCheckpoints:
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "run.ckpt"
-        cfg = SearchConfig(n=11, deterministic=True)
+        cfg = SearchConfig(n=11)
         stage = run_stage(11, 11, cfg)
         checkpoint_save(
             path, n=11, l=12, next_index=0, stages=[stage], filters=cfg.filter_signature()
@@ -252,10 +246,30 @@ class TestCheckpoints:
         path = tmp_path / "run.ckpt"
         checkpoint_save(path, n=11, l=11, next_index=0, stages=[], filters={})
         payload = json.loads(path.read_text())
-        payload["version"] = 2
+        assert payload["version"] == 2
+        for version in (1, 3):
+            payload["version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(CorruptCheckpoint, match=f"version {version}"):
+                checkpoint_load(path)
+
+    def test_version_one_checkpoint_rejected_on_resume(self, tmp_path):
+        # the layout a version-1 file had: digest-sealed, with the two
+        # filter settings that no longer exist
+        path = tmp_path / "run.ckpt"
+        payload = {
+            "version": 1,
+            "n": 6,
+            "l": 6,
+            "next_index": 0,
+            "stages": [],
+            "filters": {"prune_filters": True, "mirror_prune": False, "deterministic": True},
+        }
+        payload["digest"] = _digest(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(CorruptCheckpoint):
-            checkpoint_load(path)
+        with pytest.raises(CorruptCheckpoint, match="version 1"):
+            loses_search(SearchConfig(n=6, checkpoint_path=path))
+        assert path.exists()  # a rejected file is left for the user
 
     def test_tampered_payload_rejected(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -274,14 +288,15 @@ class TestCheckpoints:
 
     def test_mismatched_config_rejected(self, tmp_path):
         path = tmp_path / "run.ckpt"
-        cfg = SearchConfig(n=11, deterministic=True)
+        cfg = SearchConfig(n=11)
         checkpoint_save(path, n=11, l=11, next_index=0, stages=[], filters=cfg.filter_signature())
-        other = SearchConfig(n=11, deterministic=True, prune_filters=False, checkpoint_path=path)
+        other = SearchConfig(n=11, prune_filters=False, checkpoint_path=path)
         with pytest.raises(CorruptCheckpoint):
             loses_search(other)
 
-    def test_resume_mid_stage_matches_uninterrupted(self, tmp_path):
-        cfg = SearchConfig(n=11, deterministic=True, prune_filters=False)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_mid_stage_matches_uninterrupted(self, tmp_path, workers):
+        cfg = SearchConfig(n=11, prune_filters=False, workers=workers)
         uninterrupted = loses_search(cfg)
         # checkpoint taken 100 candidates into stage l=22, well before that
         # stage's first valid array (rank 5499)
@@ -292,7 +307,7 @@ class TestCheckpoints:
             path, n=11, l=22, next_index=100, stages=prefix, filters=cfg.filter_signature()
         )
         resumed = loses_search(
-            SearchConfig(n=11, deterministic=True, prune_filters=False, checkpoint_path=path)
+            SearchConfig(n=11, prune_filters=False, workers=workers, checkpoint_path=path)
         )
         assert resumed.to_dict(include_timing=False) == uninterrupted.to_dict(
             include_timing=False
@@ -300,20 +315,20 @@ class TestCheckpoints:
         assert not path.exists()  # consumed on completion
 
     def test_resume_at_stage_boundary(self, tmp_path):
-        cfg = SearchConfig(n=6, deterministic=True)
+        cfg = SearchConfig(n=6)
         uninterrupted = loses_search(cfg)
         prefix = [s for s in uninterrupted.stages if s.l < 7]
         path = tmp_path / "run.ckpt"
         checkpoint_save(
             path, n=6, l=7, next_index=0, stages=prefix, filters=cfg.filter_signature()
         )
-        resumed = loses_search(SearchConfig(n=6, deterministic=True, checkpoint_path=path))
+        resumed = loses_search(SearchConfig(n=6, checkpoint_path=path))
         assert resumed.to_dict(include_timing=False) == uninterrupted.to_dict(
             include_timing=False
         )
 
     def test_resume_mid_exhausted_stage(self, tmp_path):
-        cfg = SearchConfig(n=6, deterministic=True, prune_filters=False)
+        cfg = SearchConfig(n=6, prune_filters=False)
         uninterrupted = loses_search(cfg)
         prefix = [s for s in uninterrupted.stages if s.l < 7]
         path = tmp_path / "run.ckpt"
@@ -321,7 +336,7 @@ class TestCheckpoints:
             path, n=6, l=7, next_index=7, stages=prefix, filters=cfg.filter_signature()
         )
         resumed = loses_search(
-            SearchConfig(n=6, deterministic=True, prune_filters=False, checkpoint_path=path)
+            SearchConfig(n=6, prune_filters=False, checkpoint_path=path)
         )
         assert resumed.to_dict(include_timing=False) == uninterrupted.to_dict(
             include_timing=False
@@ -329,8 +344,6 @@ class TestCheckpoints:
 
     def test_checkpoint_written_during_run(self, tmp_path):
         path = tmp_path / "run.ckpt"
-        out = loses_search(
-            SearchConfig(n=7, deterministic=True, checkpoint_path=path)
-        )
+        out = loses_search(SearchConfig(n=7, checkpoint_path=path))
         assert out.verdict is Verdict.OPTIMAL
         assert not path.exists()  # removed once the verdict is reached
