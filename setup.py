@@ -1,7 +1,9 @@
 """Build script: compiles the optional scanning extension.
 
-The package works without the extension (a pure-Python scanner is selected
-at import time), so a missing compiler only costs speed, not functionality.
+``src/rmra/_kernel_c.c`` is a hand-written CPython extension in plain C99,
+so a C compiler and the Python headers are all the build needs. The package
+works without it (a pure-Python scanner is selected at import time), so a
+missing compiler only costs speed, not functionality.
 """
 
 import warnings
@@ -11,7 +13,7 @@ from setuptools.command.build_ext import build_ext
 
 
 class optional_build_ext(build_ext):
-    """Swallow compiler failures; the pure-Python kernel takes over."""
+    """Swallow C compiler failures; the pure-Python kernel takes over."""
 
     def run(self):
         try:
@@ -26,21 +28,9 @@ class optional_build_ext(build_ext):
             warnings.warn(f"compiled kernel skipped ({exc}); using pure-Python fallback")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [
-            Extension(
-                "rmra._kernel_c",
-                ["src/rmra/_kernel_c.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[
+        Extension("rmra._kernel_c", ["src/rmra/_kernel_c.c"], extra_compile_args=["-O3"])
+    ],
+    cmdclass={"build_ext": optional_build_ext},
+)

@@ -2,16 +2,23 @@
 
 Run as ``python -m rmra.bench``. Scans a full stage with each available
 backend and reports throughput; the reference stage (11 sensors, aperture
-23) is the classic half-million-candidate exhaustion proof.
+23) is the classic half-million-candidate exhaustion proof. Pure Python
+sits out stages above two million candidates, which would take it minutes.
+``--json`` prints the same figures, plus the host, as one JSON document.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
 import time
 
 from .kernel import available_backends
 from .search import candidate_count
+
+PYTHON_STAGE_LIMIT = 2_000_000  # candidates; ~0.2-0.3 M/s makes larger stages minutes long
 
 
 def bench_backend(scan, n: int, l: int, filtered: bool, repeat: int) -> tuple[float, int]:
@@ -38,20 +45,47 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--l", type=int, default=23)
     parser.add_argument("--filtered", action="store_true")
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--json", action="store_true", help="print one JSON document")
     args = parser.parse_args(argv)
 
+    total = candidate_count(args.n, args.l, args.filtered)
     backends = available_backends()
-    print(f"stage: n={args.n} l={args.l} filtered={args.filtered} "
-          f"({candidate_count(args.n, args.l, args.filtered)} candidates)")
+    compiled = "c" in backends
+    if total > PYTHON_STAGE_LIMIT:
+        backends.pop("python")
     results = {}
     for name, scan in backends.items():
-        dt, total = bench_backend(scan, args.n, args.l, args.filtered, args.repeat)
-        results[name] = dt
-        print(f"  {name:<8} {dt:8.3f} s   {total / dt / 1e6:8.2f} M candidates/s")
+        dt, _ = bench_backend(scan, args.n, args.l, args.filtered, args.repeat)
+        results[name] = {
+            "seconds": dt,
+            "candidates_per_s": total / dt,
+            "ns_per_candidate": dt / total * 1e9,
+        }
+
+    if args.json:
+        doc = {
+            "stage": {"n": args.n, "l": args.l, "filtered": args.filtered, "candidates": total},
+            "repeat": args.repeat,
+            "backends": results,
+            "host": {
+                "nproc": os.cpu_count(),
+                "machine": platform.machine(),
+                "python": platform.python_version(),
+                "compile_args": "-O3",  # setup.py's extra_compile_args for rmra._kernel_c
+            },
+        }
+        print(json.dumps(doc, indent=2))
+        return 0
+    print(f"stage: n={args.n} l={args.l} filtered={args.filtered} ({total} candidates)")
+    for name, r in results.items():
+        print(f"  {name:<8} {r['seconds']:8.3f} s   "
+              f"{r['candidates_per_s'] / 1e6:8.2f} M candidates/s")
     if "c" in results and "python" in results:
-        print(f"  speedup: {results['python'] / results['c']:.1f}x")
-    elif "c" not in results:
-        print("  compiled backend unavailable; showing pure Python only")
+        print(f"  speedup: {results['python']['seconds'] / results['c']['seconds']:.1f}x")
+    if "python" not in results:
+        print(f"  python   skipped: stage above {PYTHON_STAGE_LIMIT:,} candidates")
+    if not compiled:
+        print("  compiled backend unavailable")
     return 0
 
 

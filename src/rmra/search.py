@@ -23,13 +23,11 @@ in the same stage, so the first valid array is always mirror-canonical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import time
 from collections import deque
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -288,13 +286,30 @@ def _scan_chunk(
     return None if offset < 0 else (lo + offset, positions)
 
 
-class _InlineExecutor(Executor):
+class _Done:
+    """A result computed at submission, read like a finished future."""
+
+    def __init__(self, value):
+        self._value = value
+
+    def result(self):
+        return self._value
+
+    def cancel(self) -> bool:
+        return False
+
+
+class _InlineExecutor:
     """Runs each chunk on the calling thread, at submission."""
 
-    def submit(self, fn, /, *args):
-        future: Future = Future()
-        future.set_result(fn(*args))
-        return future
+    def __enter__(self) -> "_InlineExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def submit(self, fn, /, *args) -> _Done:
+        return _Done(fn(*args))
 
 
 def _scan(
@@ -317,10 +332,12 @@ def _scan(
     if workers == 1:
         chunk, window, pool = _CHUNK, 1, _InlineExecutor()
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for it
+
         chunk = max(4096, min(_CHUNK, (end - start) // (workers * 4) + 1))
         window, pool = workers * 4, ThreadPoolExecutor(max_workers=workers)
     los = iter(range(start, end, chunk))
-    ahead: deque[tuple[int, Future]] = deque()
+    ahead: deque = deque()  # (chunk end, future)
     with pool:
         try:
             while True:
@@ -438,6 +455,8 @@ def checkpoint_load(path: str | Path) -> dict:
 
 
 def _digest(payload: dict) -> str:
+    import hashlib  # only checkpointed runs pay for it
+
     keys = ["version", "n", "l", "next_index", "stages", "filters"]
     body = json.dumps({k: payload[k] for k in keys}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(body.encode()).hexdigest()

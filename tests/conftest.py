@@ -3,10 +3,36 @@
 from __future__ import annotations
 
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
-from rmra.coarray import SensorArray
+
+def _build_kernel() -> None:
+    """Build the compiled kernel in place, as perfbench/run.py does.
+
+    Runs before anything imports rmra, so the suite cross-checks both
+    backends. Without a C compiler, or if the build fails (setup.py turns
+    compiler errors into warnings), the compiled-kernel tests skip.
+    """
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        return
+    subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext", "--inplace"],
+        cwd=Path(__file__).resolve().parent.parent,
+        capture_output=True,
+        check=False,
+    )
+
+
+_build_kernel()
+
+from rmra.coarray import SensorArray  # noqa: E402
 
 # Reference arrays used across the suite.
 RMRA7 = SensorArray((0, 1, 2, 5, 6, 8, 9))  # the worked 7-sensor example

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+
+import pytest
+
 from rmra.bench import bench_backend, main
 from rmra.kernel import available_backends
 from rmra.search import candidate_count
@@ -19,3 +23,20 @@ def test_bench_main_runs(capsys):
     out = capsys.readouterr().out
     assert "python" in out
     assert "candidates/s" in out
+
+
+def test_bench_json_reports_backends_and_host(capsys):
+    assert main(["--n", "6", "--l", "8", "--repeat", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stage"] == {"n": 6, "l": 8, "filtered": False, "candidates": 35}
+    assert set(doc["backends"]) == set(available_backends())
+    python = doc["backends"]["python"]
+    assert python["candidates_per_s"] == pytest.approx(35 / python["seconds"])
+    assert doc["host"]["nproc"] >= 1
+
+
+def test_bench_skips_python_on_large_stages(capsys):
+    # 5,311,735 candidates: minutes in pure Python, well under a second compiled
+    assert main(["--n", "12", "--l", "27", "--repeat", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "python" not in doc["backends"]

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
+from rmra.catalog import all_entries
 from rmra.coarray import SensorArray
 from rmra.kernel import BACKEND, available_backends
 from rmra.robustness import rmra_check
-from rmra.search import _unrank_active, candidate_count
+from rmra.search import _unrank_active, candidate_count, rank_candidate
 
 BACKENDS = available_backends()
 HAS_C = "c" in BACKENDS
@@ -55,6 +56,75 @@ def test_backends_agree_on_random_ranges():
             for name, scan in BACKENDS.items()
         }
         assert out["python"] == out["c"]
+
+
+@needs_c
+def test_backends_agree_across_the_word_boundary():
+    # Apertures 60-90 put the compiled kernel on both sides of its switch
+    # from one-word (l <= 63) to four-word (l <= 255) bitsets. Random windows
+    # there hold no valid array, so the catalog arrays at apertures 61-66
+    # (near-optimal, 19 and 20 sensors) add windows that end in a find, and
+    # windows that end in their mirrors.
+    rng = random.Random(6364)
+    windows = []
+    for _ in range(120):
+        n = rng.randint(6, 8)
+        l = rng.randint(60, 90)
+        filtered = rng.random() < 0.5
+        start = rng.randrange(candidate_count(n, l, filtered))
+        windows.append((n, l, filtered, start, rng.randint(1, 3000)))
+    for entry in all_entries():
+        if entry.family != "RMRA" or entry.l < 60:
+            continue
+        n, l = entry.n, entry.l
+        for arr in (entry.positions, tuple(l - p for p in reversed(entry.positions))):
+            windows.append((n, l, False, max(0, rank_candidate(n, l, arr) - 700), 1000))
+    finds = set()
+    for n, l, filtered, start, count in windows:
+        first = _unrank_active(n, l, filtered, start)
+        for mirror in (False, True):
+            out = {
+                name: scan(n, l, list(first), count, filtered, mirror)
+                for name, scan in BACKENDS.items()
+            }
+            assert out["python"] == out["c"], (n, l, filtered, start, count, mirror)
+            if l > 63 and out["c"][1] >= 0:
+                finds.add(mirror)
+    assert finds == {False, True}  # four-word finds, with and without pruning
+
+
+@needs_c
+def test_backends_agree_on_windows_past_the_stage_end():
+    # Each window starts mid-stage, so the compiled kernel rebuilds its
+    # per-depth state from an arbitrary combination, and asks for more
+    # candidates than remain, so the enumeration runs out before the count.
+    rng = random.Random(2718)
+    for _ in range(80):
+        n = rng.randint(5, 11)
+        l = rng.randint(n, n + 14)
+        filtered = rng.random() < 0.5
+        size = candidate_count(n, l, filtered)
+        start = rng.randrange(max(0, size - 2000), size)
+        first = _unrank_active(n, l, filtered, start)
+        count = size - start + rng.randint(1, 10**6)
+        mirror = rng.random() < 0.5
+        out = {
+            name: scan(n, l, list(first), count, filtered, mirror)
+            for name, scan in BACKENDS.items()
+        }
+        assert out["python"] == out["c"], (n, l, filtered, start, mirror)
+        examined, offset, _ = out["c"]
+        assert examined == (offset + 1 if offset >= 0 else size - start)
+
+
+@needs_c
+@pytest.mark.parametrize(
+    "n,l,filtered,size", [(11, 23, False, 497_420), (12, 27, True, 735_471)]
+)
+def test_backends_agree_on_exhausted_reference_stages(n, l, filtered, size):
+    # the exhaustion proofs of the 11- and 12-sensor optima, as searches scan them
+    results = {name: full_scan(scan, n, l, filtered, True) for name, scan in BACKENDS.items()}
+    assert results["python"] == results["c"] == (size, -1, None)
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -110,3 +180,11 @@ def test_guards(name):
         scan(6, 9, [3, 2, 1, 0], 1, False, False)  # not increasing
 
     assert scan(6, 9, [0, 1, 2, 3], 0, False, False) == (0, -1, None)
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_count_beyond_64_bits_scans_to_the_stage_end(name):
+    scan = BACKENDS[name]
+    size = candidate_count(6, 9, False)
+    assert scan(6, 9, [0, 1, 2, 3], 2**70, False, False) == (size, -1, None)
+    assert scan(6, 9, [0, 1, 2, 3], -(2**70), False, False) == (0, -1, None)
