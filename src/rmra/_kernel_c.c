@@ -1,28 +1,40 @@
-/* Compiled candidate scanner: the C twin of rmra._kernel_py.scan.
+/* Compiled stage engine behind rmra.kernel.scan.
  *
- * Same contract: scan(n, l, first, count, filtered=False, mirror_prune=False)
- * walks up to `count` candidates of stage (n, l) in lexicographic order from
- * the interior combination `first` and returns (examined, found_offset,
- * positions), with found_offset -1 and positions None when the range holds no
- * valid array. Mirror-pruned candidates count as examined. 4 <= n <= 36 and
- * n <= l <= 255.
+ * first_valid(n, l, first, last, filtered=False, mirror_prune=False) returns
+ * the positions of the lexicographically first valid array of stage (n, l)
+ * whose interior combination lies in the window [first, last] (0-based
+ * combinations, as rmra._kernel_py.scan takes them), or None. With
+ * mirror_prune, arrays whose mirror comes first are skipped. rmra.kernel
+ * ranks the window and the find to give rmra._kernel_py.scan's contract.
+ * 4 <= n <= 36 and n <= l <= 255.
  *
- * Bit-parallel and incremental (the bitmap method of Golomb-ruler search):
- * the interior sensors form an odometer, and each depth keeps the lags of its
- * sensor prefix as once/twice/thrice bitmasks (lags of weight >= 1, 2, 3).
- * Adding a sensor x costs a few word operations: its lags to the sensors
- * above it are S >> x, and its lags to those below are R >> (W-1-x), where R
- * holds the same sensors bit-reversed in a W-bit set. A leaf survives only if
- * every lag 1..l-1 has weight >= 2; only survivors get the chain test
- * S & S>>g & S>>2g on each lag g of weight exactly 2 and the mirror check.
+ * Ends-inward branch-and-bound, the exhaustive method for sparse rulers and
+ * minimum-redundancy arrays (Leech, 1956): grid points are decided in the
+ * order 1, l-1, 2, l-2, ... (from 2, l-2 when filtered pins 1 and l-1),
+ * "sensor" before "no sensor", until n sensors are placed. A node is cut
+ * when
+ *  - final lag: points 0..j and l-j..l are decided, so lag l-j has its final
+ *    weight (a pair (a, a+l-j) needs a <= j), and that weight is below 2;
+ *  - pair budget: of the C(m,2)-1 pairs of the m sensors placed, those past
+ *    the second on their lag are wasted, and the waste exceeds the
+ *    C(n,2)-1-2(l-1) pairs a valid array can spare (waste never falls);
+ *  - lex window: the decided left part 0..j puts every array below the node
+ *    before the window's first combination or after its last.
+ * A valid leaf inside the window becomes the window's last combination (the
+ * lex cut), so the search ends on the first valid array in lex order.
  *
- * Bitsets are one 64-bit word for l <= 63 and four words for l <= 255. One
- * inline scan loop takes the width as a parameter; scan1 and scan4 pin it to
- * a constant so the compiler specialises each.
+ * The sensors placed so far keep the lags of their pairs as once/twice/thrice
+ * bitmasks (lags of weight >= 1, 2, 3), the bitmap method of Golomb-ruler
+ * search (Dollas, Rankin & McCracken, 1998). Adding a sensor x costs a few
+ * word operations: its lags to the sensors above it are S >> x, and its lags
+ * to those below are R >> (W-1-x), where R holds the same sensors
+ * bit-reversed in a W-bit set. Bitsets are one 64-bit word for l <= 63 and
+ * four words for l <= 255; search1 and search4 pin the width to a constant
+ * so the compiler specialises each. Everything the search touches lives on
+ * the calling thread's stack, so threads may run it at once.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <limits.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -80,24 +92,16 @@ INLINE void add(state *dst, const state *src, int x, int nw)
     dst->r[y >> 6] |= (word)1 << (y & 63);
 }
 
-/* Every lag 1..l-1 has weight >= 2: the cheap test most leaves fail. */
-INLINE int covered(const state *st, const word *full, int nw)
-{
-    for (int i = 0; i < nw; i++)
-        if ((st->twice[i] & full[i]) != full[i])
-            return 0;
-    return 1;
-}
-
 /* The rest of validity for a covered leaf: no lag of weight exactly 2 has
  * its two pairs chained through one sensor (a, a+g, a+2g), which a single
  * failure would break. The aperture lag l needs no test: only the pair
- * (0, l) spans it, so its weight is 1 in every candidate. */
-INLINE int robust(const state *st, const word *full, int nw)
+ * (0, l) spans it, so its weight is 1 in every candidate, and twice never
+ * holds it. */
+INLINE int robust(const state *st, int nw)
 {
     word weak[MAX_W], a[MAX_W], b[MAX_W];
     for (int i = 0; i < nw; i++)
-        weak[i] = st->twice[i] & ~st->thrice[i] & full[i];
+        weak[i] = st->twice[i] & ~st->thrice[i];
     for (int i = 0; i < nw; i++) {
         while (weak[i]) {
             int g = 64 * i + __builtin_ctzll(weak[i]);
@@ -112,92 +116,137 @@ INLINE int robust(const state *st, const word *full, int nw)
     return 1;
 }
 
-/* 1 unless the mirror of p comes first lexicographically. */
-static int mirror_first(const int *p, int n, int l)
+/* Lexicographic order of two position sets on grid points 0..top: the set
+ * holding the lowest point where they differ comes first. Returns < 0 if a
+ * comes first, 0 if they agree on 0..top, > 0 if b comes first. */
+INLINE int lexcmp(const word *a, const word *b, int top, int nw)
 {
-    for (int i = 1; i < n; i++) {
-        int q = l - p[n - 1 - i];
-        if (q != p[i])
-            return q > p[i];
+    for (int i = 0; i < nw && 64 * i <= top; i++) {
+        word d = a[i] ^ b[i];
+        if (64 * i + 63 > top)
+            d &= ~(word)0 >> (63 - (top & 63));
+        if (d)
+            return a[i] & d & -d ? -1 : 1;
     }
-    return 1;
+    return 0;
 }
 
-/* Scan from interior combination c (0-based, k values). Returns the offset
- * of the first valid candidate (its positions in out), or -(examined + 1). */
-INLINE long long scan_words(int n, int l, int filtered, int mirror,
-                            const int *c, long long count, int *out, int nw)
+/* 1 unless the mirror of the leaf's array comes first lexicographically;
+ * the mirror {l - x} is the reversed set shifted down. */
+INLINE int mirror_first(const state *st, int l, int nw)
 {
-    state st[MAX_N - 1]; /* st[d]: fixed sensors plus interior 0..d-1 */
-    word full[MAX_W] = {0};
-    int p[MAX_N];
-    int off = filtered ? 2 : 1, k = n - 2 * off; /* fixed sensors at each end */
-    int *x = p + off;            /* the interior sensors, in place */
-    int top = l - off - (k - 1); /* highest position of interior sensor 0 */
-    long long t = 0;
+    word m[MAX_W];
+    shr(m, st->r, 64 * nw - 1 - l, nw);
+    return lexcmp(st->s, m, l, nw) <= 0;
+}
 
-    for (int g = 1; g < l; g++)
-        full[g >> 6] |= (word)1 << (g & 63);
-    memset(&st[0], 0, sizeof st[0]);
-    p[0] = 0;
-    p[n - 1] = l;
-    if (filtered) {
-        p[1] = 1;
-        p[n - 2] = l - 1;
+typedef struct {
+    int n, l, base, mirror, slack, ndec, found;
+    word lo[MAX_W], hi[MAX_W]; /* window bounds as sets; hi becomes each find */
+    state st[MAX_N + 1];       /* st[m]: the m sensors placed so far */
+} search;
+
+/* Pairs past the second on their lag among the m sensors of st (0 and l
+ * among them): C(m,2) pairs, less one per lag of weight >= 1 and one more
+ * per lag of weight >= 2, where lag l, spanned by (0, l) alone, counts once. */
+INLINE int waste(const state *st, int m, int nw)
+{
+    int used = 0;
+    for (int i = 0; i < nw; i++)
+        used += __builtin_popcountll(st->once[i]) + __builtin_popcountll(st->twice[i]);
+    return m * (m - 1) / 2 - used;
+}
+
+/* The node just decided grid point x, the d-th decision: the final-lag
+ * rule for a right-hand point (x = l-j makes lag x final), then the window
+ * on the left part. */
+INLINE int viable(const search *s, const state *st, int d, int x, int nw)
+{
+    int top = x;
+    if (d & 1) {
+        if (!(st->twice[x >> 6] >> (x & 63) & 1))
+            return 0;
+        top = s->l - x;
     }
-    for (int i = 0; i < off; i++) {
-        add(&st[0], &st[0], p[i], nw);
-        add(&st[0], &st[0], p[n - 1 - i], nw);
+    return lexcmp(st->s, s->lo, top, nw) >= 0 && lexcmp(st->s, s->hi, top, nw) <= 0;
+}
+
+/* A leaf holds n sensors and passed the pair budget on the way, which at
+ * m = n says every lag 1..l-1 has weight >= 2: the leaf is covered. */
+INLINE void leaf(search *s, const state *st, int nw)
+{
+    if (lexcmp(st->s, s->lo, s->l, nw) >= 0
+        && lexcmp(st->s, s->hi, s->l, nw) <= 0
+        && (!s->mirror || mirror_first(st, s->l, nw)) && robust(st, nw)) {
+        memcpy(s->hi, st->s, sizeof s->hi);
+        s->found = 1;
     }
+}
+
+/* Decide the d-th grid point onwards with m sensors placed; recurse
+ * through `next`, the width-specialised copy of this function. */
+INLINE void node(search *s, int d, int m, int nw, void (*next)(search *, int, int))
+{
+    const state *st = &s->st[m];
+    if (m == s->n) { /* the remaining points stay empty */
+        leaf(s, st, nw);
+        return;
+    }
+    int x = d & 1 ? s->l - s->base - d / 2 : s->base + d / 2; /* ends inward */
+    state *up = &s->st[m + 1];
+    add(up, st, x, nw);
+    if (waste(up, m + 1, nw) <= s->slack && viable(s, up, d, x, nw))
+        next(s, d + 1, m + 1);
+    if (m + s->ndec - d > s->n && viable(s, st, d, x, nw)) /* enough points left to fill */
+        next(s, d + 1, m);
+}
+
+static void search1(search *s, int d, int m) { node(s, d, m, 1, search1); }
+static void search4(search *s, int d, int m) { node(s, d, m, MAX_W, search4); }
+
+/* Set the bits of interior combination `seq` (k values below m, strictly
+ * increasing, counted from grid point base) into set. */
+static int parse_combo(PyObject *obj, int k, int m, int base, word *set)
+{
+    PyObject *seq = PySequence_Fast(obj, "a combination must be a sequence");
+    if (seq == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(seq) != k) {
+        Py_DECREF(seq);
+        PyErr_Format(PyExc_ValueError, "expected a %d-element interior combination", k);
+        return -1;
+    }
+    long prev = -1;
     for (int i = 0; i < k; i++) {
-        x[i] = off + c[i]; /* combination values count from the first free point */
-        add(&st[i + 1], &st[i], x[i], nw);
-    }
-    for (;;) {
-        const state *leaf = &st[k];
-        if (covered(leaf, full, nw) && (!mirror || mirror_first(p, n, l))
-            && robust(leaf, full, nw)) {
-            memcpy(out, p, n * sizeof *p);
-            return t;
+        int overflow;
+        long v = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
+        if (v == -1 && PyErr_Occurred()) {
+            Py_DECREF(seq);
+            return -1;
         }
-        if (++t >= count)
-            return -t - 1;
-        int i = k - 1;
-        while (i >= 0 && x[i] == top + i)
-            i--;
-        if (i < 0) /* enumeration exhausted before count ran out */
-            return -t - 1;
-        x[i]++;
-        add(&st[i + 1], &st[i], x[i], nw);
-        for (i++; i < k; i++) {
-            x[i] = x[i - 1] + 1;
-            add(&st[i + 1], &st[i], x[i], nw);
+        if (overflow || !(prev < v && v < m)) {
+            Py_DECREF(seq);
+            PyErr_SetString(PyExc_ValueError,
+                            "interior combination not strictly increasing in range");
+            return -1;
         }
+        set[(v + base) >> 6] |= (word)1 << ((v + base) & 63);
+        prev = v;
     }
+    Py_DECREF(seq);
+    return 0;
 }
 
-static long long scan1(int n, int l, int filtered, int mirror, const int *c,
-                       long long count, int *out)
+static PyObject *first_valid(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    return scan_words(n, l, filtered, mirror, c, count, out, 1);
-}
-
-static long long scan4(int n, int l, int filtered, int mirror, const int *c,
-                       long long count, int *out)
-{
-    return scan_words(n, l, filtered, mirror, c, count, out, MAX_W);
-}
-
-static PyObject *scan(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"n", "l", "first", "count", "filtered", "mirror_prune", NULL};
-    int n, l, filtered = 0, mirror = 0, overflow, c[MAX_N], out[MAX_N];
-    PyObject *first, *count_obj, *seq;
-    long long count, res;
+    static char *kwlist[] = {"n", "l", "first", "last", "filtered", "mirror_prune", NULL};
+    int n, l, filtered = 0, mirror = 0;
+    PyObject *first, *last;
+    search s;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOO|pp:scan", kwlist, &n, &l,
-                                     &first, &count_obj, &filtered, &mirror))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOO|pp:first_valid", kwlist, &n, &l,
+                                     &first, &last, &filtered, &mirror))
         return NULL;
     if (n < 4 || n > MAX_N)
         return PyErr_Format(PyExc_ValueError,
@@ -205,73 +254,59 @@ static PyObject *scan(PyObject *self, PyObject *args, PyObject *kwargs)
     if (l < n || l > MAX_L)
         return PyErr_Format(PyExc_ValueError,
                             "aperture %d outside supported range %d..%d", l, n, MAX_L);
-    int k = filtered ? n - 4 : n - 2, m = filtered ? l - 3 : l - 1;
-    seq = PySequence_Fast(first, "first must be a sequence");
-    if (seq == NULL)
-        return NULL;
-    if (PySequence_Fast_GET_SIZE(seq) != k) {
-        Py_DECREF(seq);
-        return PyErr_Format(PyExc_ValueError,
-                            "expected a %d-element interior combination", k);
+    int nw = l <= 63 ? 1 : MAX_W, base = filtered ? 2 : 1; /* fixed sensors at each end */
+    memset(&s, 0, sizeof s);
+    s.n = n;
+    s.l = l;
+    s.base = base;
+    s.mirror = mirror;
+    s.slack = n * (n - 1) / 2 - 1 - 2 * (l - 1);
+    s.ndec = l + 1 - 2 * base; /* the grid points base..l-base */
+    for (int i = 0; i < base; i++) {
+        add(&s.st[2 * i + 1], &s.st[2 * i], i, nw);
+        add(&s.st[2 * i + 2], &s.st[2 * i + 1], l - i, nw);
     }
-    long prev = -1;
-    for (int i = 0; i < k; i++) {
-        long v = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
-        if (v == -1 && PyErr_Occurred()) {
-            Py_DECREF(seq);
-            return NULL;
-        }
-        if (overflow || !(prev < v && v < m)) {
-            Py_DECREF(seq);
-            PyErr_SetString(PyExc_ValueError,
-                            "interior combination not strictly increasing in range");
-            return NULL;
-        }
-        c[i] = (int)v;
-        prev = v;
-    }
-    Py_DECREF(seq);
-    count = PyLong_AsLongLongAndOverflow(count_obj, &overflow);
-    if (count == -1 && PyErr_Occurred())
+    memcpy(s.lo, s.st[2 * base].s, sizeof s.lo);
+    memcpy(s.hi, s.lo, sizeof s.hi);
+    if (parse_combo(first, n - 2 * base, l + 1 - 2 * base, base, s.lo) < 0
+        || parse_combo(last, n - 2 * base, l + 1 - 2 * base, base, s.hi) < 0)
         return NULL;
-    if (overflow) /* a count past 2**63 - 1 reaches the stage end first */
-        count = overflow > 0 ? LLONG_MAX : 0;
-    if (count <= 0)
-        return Py_BuildValue("iiO", 0, -1, Py_None);
 
     Py_BEGIN_ALLOW_THREADS
-    res = (l <= 63 ? scan1 : scan4)(n, l, filtered, mirror, c, count, out);
+    if (waste(&s.st[2 * base], 2 * base, nw) <= s.slack)
+        (nw == 1 ? search1 : search4)(&s, 0, 2 * base);
     Py_END_ALLOW_THREADS
 
-    if (res < 0)
-        return Py_BuildValue("LiO", -(res + 1), -1, Py_None);
+    if (!s.found)
+        Py_RETURN_NONE;
     PyObject *positions = PyList_New(n);
     if (positions == NULL)
         return NULL;
-    for (int i = 0; i < n; i++) {
-        PyObject *v = PyLong_FromLong(out[i]);
+    for (int x = 0, i = 0; x <= l; x++) {
+        if (!(s.hi[x >> 6] >> (x & 63) & 1))
+            continue;
+        PyObject *v = PyLong_FromLong(x);
         if (v == NULL) {
             Py_DECREF(positions);
             return NULL;
         }
-        PyList_SET_ITEM(positions, i, v);
+        PyList_SET_ITEM(positions, i++, v);
     }
-    return Py_BuildValue("LLN", res + 1, res, positions);
+    return positions;
 }
 
 static PyMethodDef methods[] = {
-    {"scan", (PyCFunction)(void (*)(void))scan, METH_VARARGS | METH_KEYWORDS,
-     "scan(n, l, first, count, filtered=False, mirror_prune=False)\n--\n\n"
-     "Scan up to count consecutive candidates in lexicographic order.\n\n"
-     "Same semantics as rmra._kernel_py.scan: returns (examined, found_offset,\n"
-     "positions) with found_offset -1 when nothing valid lies in the range."},
+    {"first_valid", (PyCFunction)(void (*)(void))first_valid, METH_VARARGS | METH_KEYWORDS,
+     "first_valid(n, l, first, last, filtered=False, mirror_prune=False)\n--\n\n"
+     "Positions of the lexicographically first valid array whose interior\n"
+     "combination lies in [first, last], or None."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "rmra._kernel_c",
-    .m_doc = "Compiled candidate scanner (incremental lag bitmasks, GIL released).",
+    .m_doc = "Compiled stage engine (ends-inward branch-and-bound, GIL released).",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -30,11 +30,11 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import kernel
+from .kernel import _rank_lex, _unrank_lex
 from .coarray import SensorArray
 
 __all__ = [
@@ -56,7 +56,8 @@ __all__ = [
     "unrank_candidate",
 ]
 
-_CHUNK = 1 << 16
+_FIRST_CHUNK = 1 << 16  # candidates in a stage's first chunk
+_FAST_S, _SLOW_S = 0.05, 0.25  # per-call seconds that grow or shrink the next chunk
 _CHECKPOINT_VERSION = 2
 
 
@@ -225,34 +226,6 @@ def candidate_count(n: int, l: int, filtered: bool = False) -> int:
     return math.comb(l - 1, n - 2)
 
 
-def _unrank_lex(index: int, m: int, k: int) -> list[int]:
-    """index-th k-subset of {0..m-1} in lexicographic order."""
-    combo = []
-    v = 0
-    r = index
-    for i in range(k):
-        while True:
-            c = math.comb(m - 1 - v, k - i - 1)
-            if r < c:
-                break
-            r -= c
-            v += 1
-        combo.append(v)
-        v += 1
-    return combo
-
-
-def _rank_lex(combo: Sequence[int], m: int, k: int) -> int:
-    """Lexicographic rank of a k-subset of {0..m-1}."""
-    r = 0
-    prev = -1
-    for i, c in enumerate(combo):
-        for v in range(prev + 1, c):
-            r += math.comb(m - 1 - v, k - i - 1)
-        prev = c
-    return r
-
-
 def unrank_candidate(n: int, l: int, index: int) -> SensorArray:
     """The index-th candidate of the unfiltered stage (n, l)."""
     total = candidate_count(n, l, False)
@@ -279,11 +252,14 @@ def _unrank_active(n: int, l: int, filtered: bool, index: int) -> list[int]:
 
 def _scan_chunk(
     n: int, l: int, filtered: bool, lo: int, hi: int
-) -> tuple[int, list[int]] | None:
-    """(rank, positions) of the first valid candidate in [lo, hi), or None."""
+) -> tuple[tuple[int, list[int]] | None, float]:
+    """(found, seconds): found is (rank, positions) of the first valid
+    candidate in [lo, hi), or None; seconds is the call's wall time."""
+    t0 = time.perf_counter()
     first = _unrank_active(n, l, filtered, lo)
     _, offset, positions = kernel.scan(n, l, first, hi - lo, filtered, True)
-    return None if offset < 0 else (lo + offset, positions)
+    found = None if offset < 0 else (lo + offset, positions)
+    return found, time.perf_counter() - t0
 
 
 class _Done:
@@ -326,30 +302,37 @@ def _scan(
     Chunks are confirmed strictly in rank order, so the first find at the
     confirmation frontier is the lexicographic first, for any worker count.
     One worker scans inline; more keep a window of ``workers * 4`` chunks in
-    flight on a thread pool. ``on_progress`` receives each confirmed frontier:
-    no valid candidate lies between ``start`` and it.
+    flight on a thread pool. A chunk's cost follows the pruned search tree,
+    not its candidate count, so chunk sizes follow the measured time per
+    call: doubled after a call under ``_FAST_S``, halved after one over
+    ``_SLOW_S``. ``on_progress`` receives each confirmed frontier: no valid
+    candidate lies between ``start`` and it.
     """
     if workers == 1:
-        chunk, window, pool = _CHUNK, 1, _InlineExecutor()
+        window, pool = 1, _InlineExecutor()
     else:
         from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for it
 
-        chunk = max(4096, min(_CHUNK, (end - start) // (workers * 4) + 1))
         window, pool = workers * 4, ThreadPoolExecutor(max_workers=workers)
-    los = iter(range(start, end, chunk))
+    chunk, lo = _FIRST_CHUNK, start
     ahead: deque = deque()  # (chunk end, future)
     with pool:
         try:
             while True:
-                for lo in islice(los, window - len(ahead)):
+                while lo < end and len(ahead) < window:
                     hi = min(lo + chunk, end)
                     ahead.append((hi, pool.submit(_scan_chunk, n, l, filtered, lo, hi)))
+                    lo = hi
                 if not ahead:
                     return None
                 hi, future = ahead.popleft()
-                found = future.result()
+                found, seconds = future.result()
                 if found is not None:
                     return found
+                if seconds < _FAST_S:
+                    chunk *= 2
+                elif seconds > _SLOW_S:
+                    chunk = max(1, chunk // 2)
                 if on_progress is not None:
                     on_progress(hi)
         finally:
@@ -429,9 +412,18 @@ def checkpoint_save(
         "filters": dict(filters),
     }
     payload["digest"] = _digest(payload)
-    tmp = Path(path).with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as f:
+        f.write(json.dumps(payload))
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
+    fd = os.open(path.parent, os.O_RDONLY)  # make the rename itself durable
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def checkpoint_load(path: str | Path) -> dict:
@@ -472,8 +464,10 @@ def loses_search(
     proves the previous find optimal; running out of budget or hitting the
     aperture limit first yields a near-optimal verdict instead. When
     ``cfg.checkpoint_path`` names an existing checkpoint the run resumes
-    from it; the file is refreshed during the run and removed once a
-    verdict is reached.
+    from it. The file is refreshed at most once a second, at a confirmed
+    frontier or a stage boundary, and removed once a verdict is reached,
+    except a verdict capped by the budget or the aperture limit: that one
+    leaves a final checkpoint, so a run without the cap continues it.
     """
     upper = aperture_upper_bound(cfg.n)
     stages: list[StageResult] = []
@@ -489,16 +483,21 @@ def loses_search(
         l = payload["l"]
         start_index = payload["next_index"]
 
-    def save(next_index: int, stage_l: int) -> None:
-        if ckpt is not None:
-            checkpoint_save(
-                ckpt,
-                n=cfg.n,
-                l=stage_l,
-                next_index=next_index,
-                stages=stages,
-                filters=cfg.filter_signature(),
-            )
+    last_saved = time.monotonic()  # one timer across stages
+
+    def save(stage_l: int, next_index: int, done: list[StageResult], force: bool = False) -> None:
+        nonlocal last_saved
+        if ckpt is None or not (force or time.monotonic() - last_saved >= 1.0):
+            return
+        checkpoint_save(
+            ckpt,
+            n=cfg.n,
+            l=stage_l,
+            next_index=next_index,
+            stages=done,
+            filters=cfg.filter_signature(),
+        )
+        last_saved = time.monotonic()
 
     # spent counts lexicographic-prefix work, so resumed runs keep exact
     # budget accounting without double counting.
@@ -509,10 +508,12 @@ def loses_search(
     verdict: Verdict
     reason: str | None = None
 
+    capped = True  # cleared by the verdicts no cap can change
     while True:
         if cfg.l_limit is not None and l > cfg.l_limit:
             verdict = Verdict.NEAR_OPTIMAL if best is not None else Verdict.NONE_FOUND
             reason = "aperture limit reached"
+            save(l, 0, stages, force=True)
             break
         if l > upper:
             # Beyond the pair budget no candidate can doubly cover 1..l-1,
@@ -526,20 +527,14 @@ def loses_search(
             verdict = Verdict.OPTIMAL if best is not None else Verdict.NONE_FOUND
             if best is None:
                 reason = "aperture upper bound reached"
+            capped = False
             break
         avail = None if cfg.candidate_budget is None else max(cfg.candidate_budget - spent, 0)
         if avail == 0:
             verdict = Verdict.NEAR_OPTIMAL if best is not None else Verdict.NONE_FOUND
             reason = "candidate budget exhausted"
+            save(l, start_index, stages, force=True)
             break
-
-        last_saved = time.monotonic()
-
-        def progress(next_index: int, _l: int = l) -> None:
-            nonlocal last_saved
-            if time.monotonic() - last_saved >= 1.0:
-                save(next_index, _l)
-                last_saved = time.monotonic()
 
         result = run_stage(
             cfg.n,
@@ -547,7 +542,7 @@ def loses_search(
             cfg,
             start_index=start_index,
             budget_remaining=avail,
-            on_progress=progress if ckpt is not None else None,
+            on_progress=(lambda i, _l=l: save(_l, i, stages)) if ckpt is not None else None,
         )
         stages.append(result)
         start_index = 0
@@ -557,18 +552,21 @@ def loses_search(
         if result.outcome is StageOutcome.FOUND:
             best = result
             l += 1
-            save(0, l)
+            save(l, 0, stages)
             continue
         if result.outcome is StageOutcome.EXHAUSTED:
             verdict = Verdict.OPTIMAL if best is not None else Verdict.NONE_FOUND
             if best is None:
                 reason = "first stage exhausted"
+            capped = False
             break
         verdict = Verdict.NEAR_OPTIMAL if best is not None else Verdict.NONE_FOUND
         reason = "candidate budget exhausted"
+        # resume inside the capped stage, at its confirmed frontier
+        save(l, result.candidates_examined, stages[:-1], force=True)
         break
 
-    if ckpt is not None and ckpt.exists():
+    if not capped and ckpt is not None and ckpt.exists():
         ckpt.unlink()
     return SearchOutcome(
         n=cfg.n,

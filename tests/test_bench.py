@@ -40,3 +40,12 @@ def test_bench_skips_python_on_large_stages(capsys):
     assert main(["--n", "12", "--l", "27", "--repeat", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert "python" not in doc["backends"]
+
+
+def test_bench_search_times_both_worker_counts(capsys):
+    assert main(["--search", "7", "--repeat", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["workers"]) == {"1", "2"}
+    for run in doc["workers"].values():
+        assert run["seconds"] > 0
+        assert (run["verdict"], run["optimal_aperture"]) == ("optimal", 9)

@@ -8,9 +8,16 @@ import pytest
 
 from rmra.catalog import all_entries
 from rmra.coarray import SensorArray
-from rmra.kernel import BACKEND, available_backends
+from rmra.kernel import BACKEND, _rank_lex, available_backends
 from rmra.robustness import rmra_check
-from rmra.search import _unrank_active, candidate_count, rank_candidate
+from rmra.search import (
+    SearchConfig,
+    _unrank_active,
+    aperture_upper_bound,
+    candidate_count,
+    loses_search,
+    rank_candidate,
+)
 
 BACKENDS = available_backends()
 HAS_C = "c" in BACKENDS
@@ -37,6 +44,46 @@ def test_backends_agree_on_full_stages(n, l, filtered, mirror):
         name: full_scan(scan, n, l, filtered, mirror) for name, scan in BACKENDS.items()
     }
     assert results["python"] == results["c"]
+
+
+@needs_c
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_backends_agree_on_every_stage_up_to_the_pair_budget(n, filtered):
+    # Every aperture a search can reach, found and exhausted stages alike.
+    # A full scan's result does not depend on mirror pruning (the stage's
+    # first valid array is mirror-canonical; see
+    # test_mirror_prune_counts_skipped_candidates), so one oracle scan per
+    # stage checks the compiled engine with pruning on and off.
+    for l in range(n, aperture_upper_bound(n) + 1):
+        expected = full_scan(BACKENDS["python"], n, l, filtered, True)
+        for mirror in (False, True):
+            assert full_scan(BACKENDS["c"], n, l, filtered, mirror) == expected, (l, mirror)
+
+
+@needs_c
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("n,l", [(11, 22), (12, 26)])
+def test_backends_agree_on_windows_at_the_first_valid_array(n, l, filtered):
+    # Windows that start, or end, one rank before, at and after the stage's
+    # first valid array: an off-by-one in either window bound moves a find.
+    k, m, base = (n - 4, l - 3, 2) if filtered else (n - 2, l - 1, 1)
+    array = loses_search(SearchConfig(n=n, l_start=l, l_limit=l)).stages[0].array
+    r = _rank_lex([p - base for p in array.positions[base : n - base]], m, k)
+    windows = []
+    for edge in (r - 1, r, r + 1):
+        windows += [(edge, count) for count in (1, 2, 500)]  # starting at edge
+        windows += [(edge - count + 1, count) for count in (1, 2, 500)]  # ending at edge
+    for start, count in windows:
+        first = _unrank_active(n, l, filtered, start)
+        for mirror in (False, True):
+            out = {
+                name: scan(n, l, list(first), count, filtered, mirror)
+                for name, scan in BACKENDS.items()
+            }
+            assert out["python"] == out["c"], (start, count, mirror)
+            found_at = start + out["c"][1] if out["c"][1] >= 0 else None
+            assert (found_at == r) == (start <= r < start + count)
 
 
 @needs_c

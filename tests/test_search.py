@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmra import search
 from rmra.coarray import SensorArray
 from rmra.robustness import rmra_check
 from rmra.search import (
@@ -216,16 +218,41 @@ class TestParallel:
         parallel = loses_search(SearchConfig(n=n, workers=8))
         assert parallel.to_dict(include_timing=False) == serial.to_dict(include_timing=False)
 
-    def test_parallel_progress_reports_chunk_frontiers(self):
-        cfg = SearchConfig(n=10, prune_filters=False, workers=2)
+    def test_parallel_progress_reports_chunk_frontiers(self, monkeypatch):
+        chunks = []
+        scan_chunk = search._scan_chunk
+
+        def recording(n, l, filtered, lo, hi):
+            chunks.append((lo, hi))
+            return scan_chunk(n, l, filtered, lo, hi)
+
+        monkeypatch.setattr(search, "_scan_chunk", recording)
+        cfg = SearchConfig(n=11, prune_filters=False, workers=2)
         frontiers = []
-        res = run_stage(10, 20, cfg, on_progress=frontiers.append)
+        res = run_stage(11, 23, cfg, on_progress=frontiers.append)
         assert res.outcome is StageOutcome.EXHAUSTED
-        size = candidate_count(10, 20, False)
-        # one report per confirmed chunk, in rank order, ending at the stage end
-        chunk = frontiers[0]
-        assert 0 < chunk < size
-        assert frontiers == [min(hi, size) for hi in range(chunk, size + chunk, chunk)]
+        size = candidate_count(11, 23, False)
+        # chunks tile the stage; one report per confirmed chunk, at its end,
+        # strictly increasing, ending at the stage end
+        chunks.sort()
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert frontiers == [hi for _, hi in chunks]
+        assert all(a < b for a, b in zip(frontiers, frontiers[1:]))
+        assert frontiers[-1] == size
+
+    def test_chunks_follow_measured_call_time(self, monkeypatch):
+        # doubled after a call under 50 ms, halved after one over 250 ms
+        seconds = iter([0.01, 0.01, 0.3, 0.1, 0.01])
+        sizes = []
+
+        def timed(n, l, filtered, lo, hi):
+            sizes.append(hi - lo)
+            return None, next(seconds)
+
+        monkeypatch.setattr(search, "_scan_chunk", timed)
+        c = search._FIRST_CHUNK
+        assert search._scan(12, 27, False, 0, 10 * c, 1, None) is None
+        assert sizes == [c, 2 * c, 4 * c, 2 * c, c]  # the last chunk ends at the range end
 
 
 class TestCheckpoints:
@@ -341,6 +368,46 @@ class TestCheckpoints:
         assert resumed.to_dict(include_timing=False) == uninterrupted.to_dict(
             include_timing=False
         )
+
+    def test_checkpoint_named_tmp_round_trips_without_stray_files(self, tmp_path, monkeypatch):
+        # the snapshot is written beside the checkpoint and renamed over it,
+        # never written in place
+        renames = []
+        replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda a, b: (renames.append((a, b)), replace(a, b)))
+        path = tmp_path / "x.tmp"
+        checkpoint_save(path, n=11, l=12, next_index=7, stages=[], filters={})
+        assert renames == [(tmp_path / "x.tmp.tmp", path)]
+        assert checkpoint_load(path)["next_index"] == 7
+        assert [p.name for p in tmp_path.iterdir()] == ["x.tmp"]
+
+    def test_aperture_capped_run_resumes_to_the_uncapped_outcome(self, tmp_path):
+        uncapped = loses_search(SearchConfig(n=8))
+        path = tmp_path / "run.ckpt"
+        capped = loses_search(SearchConfig(n=8, l_limit=10, checkpoint_path=path))
+        assert capped.reason == "aperture limit reached"
+        assert checkpoint_load(path)["l"] == 11  # kept for a run without the cap
+        resumed = loses_search(SearchConfig(n=8, checkpoint_path=path))
+        assert resumed.to_dict(include_timing=False) == uncapped.to_dict(include_timing=False)
+        assert not path.exists()
+
+    def test_budget_capped_run_resumes_to_the_uncapped_outcome(self, tmp_path):
+        cfg = SearchConfig(n=11, prune_filters=False)
+        uncapped = loses_search(cfg)
+        # stop 100 candidates into stage l=22, before its first valid array
+        budget = sum(s.candidates_examined for s in uncapped.stages if s.l < 22) + 100
+        path = tmp_path / "run.ckpt"
+        capped = loses_search(
+            SearchConfig(
+                n=11, prune_filters=False, candidate_budget=budget, checkpoint_path=path
+            )
+        )
+        assert capped.reason == "candidate budget exhausted"
+        payload = checkpoint_load(path)
+        assert (payload["l"], payload["next_index"]) == (22, 100)
+        resumed = loses_search(SearchConfig(n=11, prune_filters=False, checkpoint_path=path))
+        assert resumed.to_dict(include_timing=False) == uncapped.to_dict(include_timing=False)
+        assert not path.exists()
 
     def test_checkpoint_written_during_run(self, tmp_path):
         path = tmp_path / "run.ckpt"
