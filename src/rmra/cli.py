@@ -11,6 +11,7 @@ outside the input domain, 3 usage error, 4 budget- or limit-capped search.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -66,6 +67,7 @@ def _positions_arg(tokens: list[str]) -> list[int]:
         raise UsageError(f"positions must be integers: {exc}") from exc
 
 
+@functools.cache  # built on the first main call, then reused
 def build_parser() -> _Parser:
     p = _Parser(prog="rmra", description=__doc__)
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

@@ -262,32 +262,6 @@ def _scan_chunk(
     return found, time.perf_counter() - t0
 
 
-class _Done:
-    """A result computed at submission, read like a finished future."""
-
-    def __init__(self, value):
-        self._value = value
-
-    def result(self):
-        return self._value
-
-    def cancel(self) -> bool:
-        return False
-
-
-class _InlineExecutor:
-    """Runs each chunk on the calling thread, at submission."""
-
-    def __enter__(self) -> "_InlineExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-    def submit(self, fn, /, *args) -> _Done:
-        return _Done(fn(*args))
-
-
 def _scan(
     n: int,
     l: int,
@@ -301,25 +275,23 @@ def _scan(
 
     Chunks are confirmed strictly in rank order, so the first find at the
     confirmation frontier is the lexicographic first, for any worker count.
-    One worker scans inline; more keep a window of ``workers * 4`` chunks in
-    flight on a thread pool. A chunk's cost follows the pruned search tree,
-    not its candidate count, so chunk sizes follow the measured time per
-    call: doubled after a call under ``_FAST_S``, halved after one over
-    ``_SLOW_S``. ``on_progress`` receives each confirmed frontier: no valid
-    candidate lies between ``start`` and it.
+    A chunk's cost follows the pruned search tree, not its candidate count,
+    so chunk sizes follow the measured time per call: doubled after a call
+    under ``_FAST_S``, halved after one over ``_SLOW_S``. Every stage starts
+    inline on the calling thread. Most stages end within milliseconds, where
+    a thread pool costs more than it saves, so only a stage with a call of
+    at least ``_FAST_S`` hands the rest of its range to a pool of
+    ``workers`` threads, with a window of ``workers * 4`` chunks in flight.
+    ``on_progress`` receives each confirmed frontier: no valid candidate
+    lies between ``start`` and it.
     """
-    if workers == 1:
-        window, pool = 1, _InlineExecutor()
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for it
-
-        window, pool = workers * 4, ThreadPoolExecutor(max_workers=workers)
     chunk, lo = _FIRST_CHUNK, start
-    ahead: deque = deque()  # (chunk end, future)
-    with pool:
-        try:
-            while True:
-                while lo < end and len(ahead) < window:
+    pool = None
+    ahead: deque = deque()  # (chunk end, future) in flight on the pool
+    try:
+        while True:
+            if pool is not None:
+                while lo < end and len(ahead) < workers * 4:
                     hi = min(lo + chunk, end)
                     ahead.append((hi, pool.submit(_scan_chunk, n, l, filtered, lo, hi)))
                     lo = hi
@@ -327,17 +299,27 @@ def _scan(
                     return None
                 hi, future = ahead.popleft()
                 found, seconds = future.result()
-                if found is not None:
-                    return found
-                if seconds < _FAST_S:
-                    chunk *= 2
-                elif seconds > _SLOW_S:
-                    chunk = max(1, chunk // 2)
-                if on_progress is not None:
-                    on_progress(hi)
-        finally:
-            for _, f in ahead:
-                f.cancel()
+            elif lo < end:
+                hi = min(lo + chunk, end)
+                found, seconds = _scan_chunk(n, l, filtered, lo, hi)
+                lo = hi
+            else:
+                return None
+            if found is not None:
+                return found
+            if seconds < _FAST_S:
+                chunk *= 2
+            elif seconds > _SLOW_S:
+                chunk = max(1, chunk // 2)
+            if on_progress is not None:
+                on_progress(hi)
+            if pool is None and workers > 1 and seconds >= _FAST_S and lo < end:
+                from concurrent.futures import ThreadPoolExecutor  # only slow stages pay for it
+
+                pool = ThreadPoolExecutor(max_workers=workers)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_stage(
