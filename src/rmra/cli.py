@@ -11,7 +11,6 @@ outside the input domain, 3 usage error, 4 budget- or limit-capped search.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import re
 import sys
@@ -67,7 +66,6 @@ def _positions_arg(tokens: list[str]) -> list[int]:
         raise UsageError(f"positions must be integers: {exc}") from exc
 
 
-@functools.cache  # built on the first main call, then reused
 def build_parser() -> _Parser:
     p = _Parser(prog="rmra", description=__doc__)
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -84,7 +82,12 @@ def build_parser() -> _Parser:
         action="store_true",
         help="accepted for compatibility; every search is deterministic",
     )
-    ps.add_argument("--workers", type=int, default=1)
+    ps.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility; every stage scans on one thread",
+    )
     ps.add_argument("--budget", type=int, default=None, help="max candidates examined")
     ps.add_argument("--checkpoint", default=None, help="resumable checkpoint file")
     ps.add_argument("--format", choices=("text", "json"), default="text")

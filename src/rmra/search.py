@@ -15,10 +15,10 @@ Filters never change whether a stage is found or exhausted, only how much
 work proves it.
 
 There is one search mode. Every stage reports its lexicographically first
-valid array and the prefix count needed to reach it, whatever the worker
-count and whether or not the run was resumed. Mirror pruning is always on
-and never changes that answer: the mirror of a valid array is valid and lies
-in the same stage, so the first valid array is always mirror-canonical.
+valid array and the prefix count needed to reach it, whether or not the
+run was resumed. Mirror pruning is always on and never changes that answer:
+the mirror of a valid array is valid and lies in the same stage, so the
+first valid array is always mirror-canonical.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import json
 import math
 import os
 import time
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -86,9 +85,9 @@ class SearchConfig:
     """Knobs for one search run.
 
     ``prune_filters`` pins grid points 1 and l-1 (see :func:`candidate_count`).
-    ``workers`` sets how many threads scan a stage; it changes the speed of a
-    run, never its result. ``candidate_budget`` caps the total candidates
-    examined across the run.
+    ``workers`` is accepted for compatibility and changes nothing: every
+    stage scans on the calling thread. ``candidate_budget`` caps the total
+    candidates examined across the run.
     """
 
     n: int
@@ -133,7 +132,7 @@ class StageResult:
     ``candidate_index`` is its unfiltered lexicographic rank, a stable
     identifier independent of filter settings. ``candidates_examined`` is
     the lexicographic prefix of the stage's enumeration needed to reach the
-    verdict, identical for serial, parallel and resumed runs.
+    verdict, identical for uninterrupted and resumed runs.
     """
 
     l: int
@@ -268,58 +267,31 @@ def _scan(
     filtered: bool,
     start: int,
     end: int,
-    workers: int,
     on_progress: Callable[[int], None] | None,
 ) -> tuple[int, list[int]] | None:
     """First valid candidate in [start, end) of the active enumeration.
 
-    Chunks are confirmed strictly in rank order, so the first find at the
-    confirmation frontier is the lexicographic first, for any worker count.
-    A chunk's cost follows the pruned search tree, not its candidate count,
-    so chunk sizes follow the measured time per call: doubled after a call
-    under ``_FAST_S``, halved after one over ``_SLOW_S``. Every stage starts
-    inline on the calling thread. Most stages end within milliseconds, where
-    a thread pool costs more than it saves, so only a stage with a call of
-    at least ``_FAST_S`` hands the rest of its range to a pool of
-    ``workers`` threads, with a window of ``workers * 4`` chunks in flight.
-    ``on_progress`` receives each confirmed frontier: no valid candidate
+    Chunks run in rank order on the calling thread, so the first find is the
+    lexicographic first. A chunk's cost follows the pruned search tree, not
+    its candidate count, so chunk sizes follow the measured time per call:
+    doubled after a call under ``_FAST_S``, halved after one over
+    ``_SLOW_S``. ``on_progress`` receives each chunk end: no valid candidate
     lies between ``start`` and it.
     """
     chunk, lo = _FIRST_CHUNK, start
-    pool = None
-    ahead: deque = deque()  # (chunk end, future) in flight on the pool
-    try:
-        while True:
-            if pool is not None:
-                while lo < end and len(ahead) < workers * 4:
-                    hi = min(lo + chunk, end)
-                    ahead.append((hi, pool.submit(_scan_chunk, n, l, filtered, lo, hi)))
-                    lo = hi
-                if not ahead:
-                    return None
-                hi, future = ahead.popleft()
-                found, seconds = future.result()
-            elif lo < end:
-                hi = min(lo + chunk, end)
-                found, seconds = _scan_chunk(n, l, filtered, lo, hi)
-                lo = hi
-            else:
-                return None
-            if found is not None:
-                return found
-            if seconds < _FAST_S:
-                chunk *= 2
-            elif seconds > _SLOW_S:
-                chunk = max(1, chunk // 2)
-            if on_progress is not None:
-                on_progress(hi)
-            if pool is None and workers > 1 and seconds >= _FAST_S and lo < end:
-                from concurrent.futures import ThreadPoolExecutor  # only slow stages pay for it
-
-                pool = ThreadPoolExecutor(max_workers=workers)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    while lo < end:
+        hi = min(lo + chunk, end)
+        found, seconds = _scan_chunk(n, l, filtered, lo, hi)
+        if found is not None:
+            return found
+        if seconds < _FAST_S:
+            chunk *= 2
+        elif seconds > _SLOW_S:
+            chunk = max(1, chunk // 2)
+        if on_progress is not None:
+            on_progress(hi)
+        lo = hi
+    return None
 
 
 def run_stage(
@@ -346,7 +318,7 @@ def run_stage(
     if remaining < 0:
         raise ValueError("start_index beyond stage size")
     cap = remaining if budget_remaining is None else min(remaining, budget_remaining)
-    found = _scan(n, l, filtered, start_index, start_index + cap, cfg.workers, on_progress)
+    found = _scan(n, l, filtered, start_index, start_index + cap, on_progress)
     elapsed = time.perf_counter() - t0
 
     if found is not None:
@@ -355,7 +327,7 @@ def run_stage(
         return StageResult(
             l=l,
             outcome=StageOutcome.FOUND,
-            candidates_examined=rank + 1,  # prefix count, identical for any worker split
+            candidates_examined=rank + 1,  # prefix count, identical on resume
             elapsed=elapsed,
             array=arr,
             candidate_index=rank_candidate(n, l, arr),

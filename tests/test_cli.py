@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from rmra.cli import build_parser, main, render_text
+from rmra.cli import main, render_text
 
 from conftest import TABLE3
 
@@ -80,37 +80,6 @@ class TestSearch:
         assert flagged == plain
         _, out, _ = run(capsys, "search", "--n", "7", "--deterministic", "--format", "json")
         assert "deterministic" not in json.loads(out)["inputs"]
-
-
-class TestParserReuse:
-    COMMANDS = [
-        ("search", "--n", "8", "--format", "json"),
-        ("analyze", "0", "1", "2", "5", "6", "8", "9", "--format", "json"),
-        ("search", "--n", "5"),
-        ("ies", "0,1,2,5,6,8,9", "--format", "json"),
-        ("search", "--n", "7", "--no-filters", "--workers", "2", "--format", "json"),
-    ]
-
-    @staticmethod
-    def outcome(capsys, argv):
-        code, out, err = run(capsys, *argv)
-        env = json.loads(out) if out else None
-        if env is not None:  # drop the wall times
-            del env["timing"]
-            for stage in env["result"].get("stages", []):
-                del stage["elapsed"]
-        return code, env, err
-
-    def test_one_parser_serves_every_command(self, capsys):
-        fresh = []
-        for argv in self.COMMANDS:
-            build_parser.cache_clear()
-            fresh.append(self.outcome(capsys, argv))
-        build_parser.cache_clear()
-        shared = [self.outcome(capsys, argv) for argv in self.COMMANDS]
-        assert build_parser.cache_info().misses == 1
-        assert shared == fresh
-        assert [code for code, _, _ in shared] == [0, 0, 3, 0, 0]
 
 
 class TestAnalyze:

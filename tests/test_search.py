@@ -220,11 +220,12 @@ class TestParallel:
         assert parallel.to_dict(include_timing=False) == serial.to_dict(include_timing=False)
 
     def test_parallel_progress_reports_chunk_frontiers(self, monkeypatch):
-        chunks = []
+        chunks, threads = [], set()
         scan_chunk = search._scan_chunk
 
         def recording(n, l, filtered, lo, hi):
             chunks.append((lo, hi))
+            threads.add(threading.get_ident())
             return scan_chunk(n, l, filtered, lo, hi)
 
         monkeypatch.setattr(search, "_scan_chunk", recording)
@@ -240,6 +241,7 @@ class TestParallel:
         assert frontiers == [hi for _, hi in chunks]
         assert all(a < b for a, b in zip(frontiers, frontiers[1:]))
         assert frontiers[-1] == size
+        assert threads == {threading.get_ident()}  # workers=2 scans on the calling thread
 
     def test_chunks_follow_measured_call_time(self, monkeypatch):
         # doubled after a call under 50 ms, halved after one over 250 ms
@@ -252,101 +254,8 @@ class TestParallel:
 
         monkeypatch.setattr(search, "_scan_chunk", timed)
         c = search._FIRST_CHUNK
-        assert search._scan(12, 27, False, 0, 10 * c, 1, None) is None
+        assert search._scan(12, 27, False, 0, 10 * c, None) is None
         assert sizes == [c, 2 * c, 4 * c, 2 * c, c]  # the last chunk ends at the range end
-
-    @pytest.mark.parametrize("workers", [2, 8])
-    @pytest.mark.parametrize("filtered", [True, False])
-    @pytest.mark.parametrize("n", [6, 7, 8, 11])
-    def test_pool_path_equals_serial(self, monkeypatch, n, filtered, workers):
-        # Real stages at these sizes never reach the slow-call threshold, so
-        # the first call of each stage reports it, and small first chunks
-        # give even the 6-sensor stages several chunks for the pool.
-        serial = loses_search(SearchConfig(n=n, prune_filters=filtered))
-        main_thread = threading.get_ident()
-        scan, scan_chunk = search._scan, search._scan_chunk
-        stages = []  # per stage: (start, end, chunks as (lo, hi, found, thread), frontiers)
-
-        def recording_scan(n, l, filtered, start, end, workers, on_progress):
-            stages.append((start, end, [], []))
-            return scan(n, l, filtered, start, end, workers, stages[-1][3].append)
-
-        def recording_chunk(n, l, filtered, lo, hi):
-            chunks = stages[-1][2]
-            first = not chunks
-            found, seconds = scan_chunk(n, l, filtered, lo, hi)
-            chunks.append((lo, hi, found, threading.get_ident()))
-            return found, max(seconds, search._FAST_S) if first else seconds
-
-        monkeypatch.setattr(search, "_FIRST_CHUNK", 4)
-        monkeypatch.setattr(search, "_scan", recording_scan)
-        monkeypatch.setattr(search, "_scan_chunk", recording_chunk)
-        pooled = loses_search(SearchConfig(n=n, prune_filters=filtered, workers=workers))
-        assert pooled.to_dict(include_timing=False) == serial.to_dict(include_timing=False)
-        assert any(len(chunks) > 1 for _, _, chunks, _ in stages)
-        for start, end, chunks, frontiers in stages:
-            chunks.sort()
-            assert chunks[0][3] == main_thread
-            assert all(thread != main_thread for *_, thread in chunks[1:])
-            assert [lo for lo, *_ in chunks] == [start] + [hi for _, hi, *_ in chunks[:-1]]
-            # confirmed in rank order up to the first find; each frontier
-            # is a chunk end, strictly increasing
-            finds = [i for i, (_, _, found, _) in enumerate(chunks) if found is not None]
-            confirmed = chunks[: finds[0]] if finds else chunks
-            assert frontiers == [hi for _, hi, *_ in confirmed]
-            assert all(a < b for a, b in zip(frontiers, frontiers[1:]))
-            if not finds:
-                assert frontiers[-1] == end
-
-    def test_stage_moves_to_the_pool_after_its_first_slow_call(self, monkeypatch):
-        c = search._FIRST_CHUNK
-        main_thread = threading.get_ident()
-        calls = []  # (lo, hi, thread)
-        slow_lo, find_from = 3 * c, 40 * c  # the third call takes 60 ms
-
-        def timed(n, l, filtered, lo, hi):
-            calls.append((lo, hi, threading.get_ident()))
-            found = (lo, [lo]) if lo >= find_from else None
-            return found, 0.06 if lo == slow_lo else 0.01
-
-        monkeypatch.setattr(search, "_scan_chunk", timed)
-        frontiers = []
-        found = search._scan(12, 27, False, 0, 1000 * c, 2, frontiers.append)
-        calls.sort()
-        # c and 2c inline, then 4c inline and slow; later chunks on the pool
-        assert [(lo, hi) for lo, hi, _ in calls[:3]] == [(0, c), (c, 3 * c), (3 * c, 7 * c)]
-        assert all(thread == main_thread for *_, thread in calls[:3])
-        assert all(thread != main_thread for *_, thread in calls[3:])
-        # every chunk from find_from on reports a find: the first in rank
-        # order wins, and frontiers stop at the chunk end before it
-        first_find = min(lo for lo, _, _ in calls if lo >= find_from)
-        assert found == (first_find, [first_find])
-        ends = [hi for _, hi, _ in calls]
-        assert frontiers == [hi for hi in ends if hi <= first_find]
-        assert all(a < b for a, b in zip(frontiers, frontiers[1:]))
-
-    def test_thread_pool_only_for_a_slow_stage_with_work_left(self, monkeypatch):
-        import concurrent.futures
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a thread pool was built")
-
-        scan_chunk = search._scan_chunk
-        seconds = 0.01
-
-        def timed(n, l, filtered, lo, hi):
-            return scan_chunk(n, l, filtered, lo, hi)[0], seconds
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-        monkeypatch.setattr(search, "_scan_chunk", timed)
-        # every call fast
-        cfg = SearchConfig(n=11, prune_filters=False, workers=2)
-        parallel = loses_search(cfg)
-        serial = loses_search(SearchConfig(n=11, prune_filters=False))
-        assert parallel.to_dict(include_timing=False) == serial.to_dict(include_timing=False)
-        # a slow call that ends the range leaves nothing to hand off
-        seconds = 0.06
-        assert search._scan(11, 23, False, 0, search._FIRST_CHUNK, 2, None) is None
 
 
 class TestCheckpoints:
