@@ -73,7 +73,7 @@ class CatalogVerification:
 
     @property
     def failures(self) -> tuple[EntryCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+        return tuple([c for c in self.checks if not c.passed])
 
 
 @dataclass(frozen=True)
@@ -318,7 +318,7 @@ def known_arrays(family: str, n: int | None = None) -> tuple[CatalogEntry, ...]:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     return tuple(
-        e for e in all_entries() if e.family == family and (n is None or e.n == n)
+        [e for e in all_entries() if e.family == family and (n is None or e.n == n)]
     )
 
 

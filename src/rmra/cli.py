@@ -11,6 +11,7 @@ outside the input domain, 3 usage error, 4 budget- or limit-capped search.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -66,7 +67,12 @@ def _positions_arg(tokens: list[str]) -> list[int]:
         raise UsageError(f"positions must be integers: {exc}") from exc
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared by every ``main`` call.
+
+    ``parse_args`` keeps no state between calls: each returns a fresh namespace.
+    """
     p = _Parser(prog="rmra", description=__doc__)
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -308,7 +314,7 @@ def _cmd_analyze(args) -> int:
     if arr.n < 3:
         raise UsageError("analysis needs at least three sensors")
     report = analyze(arr)
-    verdict = rmra_check(arr, arr.n, arr.aperture)
+    verdict = rmra_check(arr, arr.n, arr.aperture, essential=report.essential)
     result = {
         "positions": list(arr.positions),
         "n": arr.n,
@@ -369,7 +375,7 @@ def _cmd_catalog(args) -> int:
     else:
         from .catalog import all_entries
 
-        entries = tuple(e for e in all_entries() if args.n is None or e.n == args.n)
+        entries = tuple([e for e in all_entries() if args.n is None or e.n == args.n])
     result = {"entries": [e.to_dict() for e in entries]}
     env = _envelope("catalog", {"family": args.family, "n": args.n}, result, t0)
     if args.format == "jsonl":

@@ -65,7 +65,7 @@ class SensorArray:
     positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        pos = tuple(int(p) for p in self.positions)
+        pos = tuple([int(p) for p in self.positions])
         object.__setattr__(self, "positions", pos)
         if len(pos) < 2:
             raise ValueError("an array needs at least two sensors")
@@ -144,7 +144,7 @@ def canonicalize(raw: Iterable[int]) -> SensorArray:
         if a == b:
             raise DuplicatePosition(f"duplicate position {a}")
     base = entries[0]
-    return SensorArray(tuple(p - base for p in entries))
+    return SensorArray(tuple([p - base for p in entries]))
 
 
 def weight_table(arr: SensorArray) -> WeightTable:
@@ -170,7 +170,7 @@ def difference_coarray(arr: SensorArray) -> LagSet:
 
 def holes(lags: LagSet) -> tuple[int, ...]:
     """Missing lags in ``1..aperture``, sorted ascending."""
-    return tuple(m for m in range(1, lags.aperture + 1) if m not in lags.present)
+    return tuple([m for m in range(1, lags.aperture + 1) if m not in lags.present])
 
 
 def doubly_redundant_span(w: WeightTable) -> int:
@@ -188,7 +188,7 @@ def doubly_redundant_span(w: WeightTable) -> int:
 def ies_of(arr: SensorArray) -> IesVector:
     """Consecutive gaps between neighbouring sensors."""
     pos = arr.positions
-    return tuple(b - a for a, b in zip(pos, pos[1:]))
+    return tuple([b - a for a, b in zip(pos, pos[1:])])
 
 
 def array_from_ies(ies: Sequence[int]) -> SensorArray:

@@ -129,12 +129,12 @@ def failure_report(arr: SensorArray, failed: int) -> FailureReport:
         raise NotASensor(f"{failed} is not a sensor of {list(arr.positions)}")
     if arr.n < 3:
         raise ValueError("failure analysis needs at least three sensors")
-    survivors = tuple(p for p in arr.positions if p != failed)
+    survivors = tuple([p for p in arr.positions if p != failed])
     present = set()
     for i in range(len(survivors) - 1):
         for j in range(i + 1, len(survivors)):
             present.add(survivors[j] - survivors[i])
-    missing = tuple(m for m in range(1, arr.aperture + 1) if m not in present)
+    missing = tuple([m for m in range(1, arr.aperture + 1) if m not in present])
     return FailureReport(
         failed_position=failed,
         surviving_positions=survivors,
@@ -146,7 +146,7 @@ def failure_report(arr: SensorArray, failed: int) -> FailureReport:
 def essential_sensors(arr: SensorArray) -> tuple[int, ...]:
     """Sensors whose individual failure leaves a hole in the original span."""
     return tuple(
-        s for s in arr.positions if failure_report(arr, s).holes_in_original_span
+        [s for s in arr.positions if failure_report(arr, s).holes_in_original_span]
     )
 
 
@@ -157,8 +157,8 @@ def fragility(arr: SensorArray) -> Fragility:
 
 def analyze(arr: SensorArray) -> RobustnessReport:
     """Run the failure analysis for every sensor and assemble the report."""
-    reports = tuple(failure_report(arr, s) for s in arr.positions)
-    essential = tuple(r.failed_position for r in reports if r.holes_in_original_span)
+    reports = tuple([failure_report(arr, s) for s in arr.positions])
+    essential = tuple([r.failed_position for r in reports if r.holes_in_original_span])
     return RobustnessReport(
         positions=arr.positions,
         essential=essential,
@@ -215,12 +215,18 @@ def check_failure_robustness(arr: SensorArray) -> bool:
     return True
 
 
-def rmra_check(arr: SensorArray, n: int, l: int) -> ConstraintVerdict:
+def rmra_check(
+    arr: SensorArray, n: int, l: int, *, essential: tuple[int, ...] | None = None
+) -> ConstraintVerdict:
     """Evaluate the five validity predicates against a claimed (n, l).
 
     ``two_essential`` demands the essential set be exactly the two endpoints
     {0, l}; ``doubly_redundant`` demands the doubly redundant span reach
     ``l - 1``; ``hole_free`` demands every lag in ``1..l`` be present.
+
+    ``essential`` is ``arr``'s essential-sensor set when the caller already
+    has it (``analyze(arr).essential``); without it the failure analysis is
+    run here.
     """
     w = weight_table(arr)
     size_ok = arr.n == n
@@ -228,7 +234,7 @@ def rmra_check(arr: SensorArray, n: int, l: int) -> ConstraintVerdict:
     hole_free = in_reach and all(w.counts[m] >= 1 for m in range(1, l + 1))
     doubly = in_reach and doubly_redundant_span(w) == l - 1
     if arr.n >= 3:
-        ess = essential_sensors(arr)
+        ess = essential_sensors(arr) if essential is None else essential
         two_essential = in_reach and ess == (0, l)
     else:
         two_essential = False

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rmra.cli import main, render_text
+import rmra
+from rmra.cli import build_parser, main, render_text
 
 from conftest import TABLE3
 
@@ -238,3 +243,36 @@ class TestIes:
 
     def test_rejects_both_inputs(self, capsys):
         assert run(capsys, "ies", "0,1,3", "--from-ies", "1,2")[0] == 3
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; no call may see another's arguments."""
+
+    FRA2 = "0,1,7,8,16,17,25,26,27,28,29,30,31"
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_failed_sensor_does_not_carry_over(self, capsys):
+        code, out, _ = run(capsys, "analyze", self.FRA2, "--failed", "16", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["inputs"]["failed"] == 16
+        code, out, _ = run(capsys, "analyze", self.FRA2, "--format", "json")
+        assert code == 1
+        env = json.loads(out)
+        assert env["inputs"]["failed"] is None
+        assert "failed_detail" not in env["result"]
+
+    def test_usage_error_then_valid_search_matches_a_fresh_process(self, capsys):
+        assert run(capsys, "search", "--n", "7", "--format", "yaml")[0] == 3
+        code, out, err = run(capsys, "search", "--n", "7")
+        assert code == 0
+        src = Path(rmra.__file__).resolve().parent.parent
+        fresh = subprocess.run(
+            [sys.executable, "-m", "rmra.cli", "search", "--n", "7"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rmra import robustness
+from rmra.catalog import all_entries
+from rmra.cli import main
 from rmra.coarray import SensorArray, mirror, weight_table
 from rmra.robustness import (
     NotASensor,
@@ -211,3 +214,33 @@ class TestRmraCheck:
                 and arr.aperture >= arr.n
             )
             assert v.overall == expected
+
+    def test_precomputed_essential_set_gives_the_same_verdict(self):
+        claims = [
+            (SensorArray(e.positions), e.n, e.l) for e in all_entries() if e.positions
+        ]
+        randoms = []
+        rng = random.Random(23)
+        while len(randoms) < 200:
+            arr = random_array(rng, max_n=12, max_l=40)
+            if arr.n >= 3:
+                randoms.append((arr, arr.n, arr.aperture))
+        for arr, n, l in claims + randoms:
+            essential = analyze(arr).essential
+            assert rmra_check(arr, n, l, essential=essential) == rmra_check(arr, n, l)
+
+
+@pytest.mark.parametrize("extra", [(), ("--failed", "8")])
+def test_analyze_command_runs_each_failure_report_once(capsys, monkeypatch, extra):
+    calls = []
+    original = robustness.failure_report
+
+    def counting(arr, failed):
+        calls.append(failed)
+        return original(arr, failed)
+
+    monkeypatch.setattr(robustness, "failure_report", counting)
+    positions = (0, 1, 2, 5, 6, 8, 9)
+    assert main(["analyze", ",".join(map(str, positions)), *extra]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == list(positions)

@@ -1,0 +1,37 @@
+"""Checks on the program's source text."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import rmra
+
+PACKAGE = Path(rmra.__file__).resolve().parent
+# The pure-Python kernel is the reference oracle the compiled kernel is
+# checked against; it is kept as written.
+EXEMPT = {"_kernel_py.py"}
+
+
+def test_no_tuple_of_a_generator_expression():
+    # On CPython 3.11, tuple(<generator>) starts with 10 slots and resizes, so
+    # the result bypasses its size's tuple freelist when it is made but joins
+    # it when it is freed. A long in-process command stream then fills the
+    # freelists (up to 2000 tuples for each of 19 sizes) and holds that memory
+    # until a full collection clears them. tuple([<list comprehension>])
+    # builds the tuple at its final size and does not.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in EXEMPT:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "tuple"
+                and len(node.args) == 1
+                and not node.keywords
+                and isinstance(node.args[0], ast.GeneratorExp)
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
