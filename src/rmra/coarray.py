@@ -160,12 +160,8 @@ def weight_table(arr: SensorArray) -> WeightTable:
 
 def difference_coarray(arr: SensorArray) -> LagSet:
     """The set of non-negative lags realized by at least one sensor pair."""
-    pos = arr.positions
-    present = {0}
-    for i in range(arr.n - 1):
-        for j in range(i + 1, arr.n):
-            present.add(pos[j] - pos[i])
-    return LagSet(arr.aperture, frozenset(present))
+    counts = weight_table(arr).counts
+    return LagSet(arr.aperture, frozenset([m for m, c in enumerate(counts) if c]))
 
 
 def holes(lags: LagSet) -> tuple[int, ...]:

@@ -1,23 +1,18 @@
 """Backend selection for the candidate scanner.
 
-Prefers the compiled engine, falls back to the pure-Python scanner.
-Set RMRA_KERNEL=py or RMRA_KERNEL=c to force a backend (forcing ``c`` raises
-if the extension was not built). Both backends keep the contract of
+Prefers the compiled engine, falls back to the pure-Python scanner when the
+extension was not built. Both backends keep the contract of
 :func:`rmra._kernel_py.scan`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Sequence
 
-_forced = os.environ.get("RMRA_KERNEL", "").lower()
 try:
     from . import _kernel_c
 except ImportError:
-    if _forced == "c":
-        raise
     _kernel_c = None
 
 
@@ -79,7 +74,7 @@ def _compiled_scan(
     return offset + 1, offset, positions
 
 
-if _kernel_c is None or _forced == "py":
+if _kernel_c is None:
     from ._kernel_py import scan
 
     BACKEND = "python"

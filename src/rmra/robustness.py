@@ -2,9 +2,10 @@
 
 An array is only as robust as its worst sensor: removing one element may
 shrink the coarray span or punch holes into it. This module measures that
-damage sensor by sensor, derives the essential-sensor set and fragility,
-and evaluates the five-part validity verdict (sensor count, hole-free
-coarray, double redundancy, exactly two essential sensors, sparsity).
+damage sensor by sensor from one weight table, derives the essential-sensor
+set and fragility, and evaluates the five-part validity verdict (sensor
+count, hole-free coarray, double redundancy, exactly two essential sensors,
+sparsity).
 
 Holes are always measured against the ORIGINAL aperture: survivors are never
 re-anchored, so the loss of an endpoint shows up as a missing top lag.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coarray import SensorArray, doubly_redundant_span, weight_table
+from .coarray import SensorArray, WeightTable, doubly_redundant_span, weight_table
 
 __all__ = [
     "ConstraintVerdict",
@@ -119,6 +120,30 @@ class ConstraintVerdict:
         }
 
 
+def _survivor_counts(arr: SensorArray, w: WeightTable, failed: int) -> list[int]:
+    """``arr``'s weights ``w`` less the n-1 pairs that ``failed`` belongs to.
+
+    ``p == failed`` takes the self-difference off ``counts[0]``, leaving the
+    survivor count there.
+    """
+    counts = list(w.counts)
+    for p in arr.positions:
+        counts[abs(p - failed)] -= 1
+    return counts
+
+
+def _failure_report(arr: SensorArray, w: WeightTable, failed: int) -> FailureReport:
+    """The damage report for ``failed``, read from ``arr``'s weight table ``w``."""
+    counts = _survivor_counts(arr, w, failed)
+    survivors = tuple([p for p in arr.positions if p != failed])
+    return FailureReport(
+        failed_position=failed,
+        surviving_positions=survivors,
+        holes_in_original_span=tuple([m for m in range(1, arr.aperture + 1) if not counts[m]]),
+        span_after=survivors[-1] - survivors[0],
+    )
+
+
 def failure_report(arr: SensorArray, failed: int) -> FailureReport:
     """Remove one sensor and list the lags lost from the original span.
 
@@ -129,35 +154,25 @@ def failure_report(arr: SensorArray, failed: int) -> FailureReport:
         raise NotASensor(f"{failed} is not a sensor of {list(arr.positions)}")
     if arr.n < 3:
         raise ValueError("failure analysis needs at least three sensors")
-    survivors = tuple([p for p in arr.positions if p != failed])
-    present = set()
-    for i in range(len(survivors) - 1):
-        for j in range(i + 1, len(survivors)):
-            present.add(survivors[j] - survivors[i])
-    missing = tuple([m for m in range(1, arr.aperture + 1) if m not in present])
-    return FailureReport(
-        failed_position=failed,
-        surviving_positions=survivors,
-        holes_in_original_span=missing,
-        span_after=survivors[-1] - survivors[0],
-    )
+    return _failure_report(arr, weight_table(arr), failed)
 
 
 def essential_sensors(arr: SensorArray) -> tuple[int, ...]:
     """Sensors whose individual failure leaves a hole in the original span."""
-    return tuple(
-        [s for s in arr.positions if failure_report(arr, s).holes_in_original_span]
-    )
+    return analyze(arr).essential
 
 
 def fragility(arr: SensorArray) -> Fragility:
     """Ratio of essential sensors to total sensors, unreduced."""
-    return Fragility(len(essential_sensors(arr)), arr.n)
+    return analyze(arr).fragility
 
 
 def analyze(arr: SensorArray) -> RobustnessReport:
-    """Run the failure analysis for every sensor and assemble the report."""
-    reports = tuple([failure_report(arr, s) for s in arr.positions])
+    """Run the failure analysis for every sensor from one weight table."""
+    if arr.n < 3:
+        raise ValueError("failure analysis needs at least three sensors")
+    w = weight_table(arr)
+    reports = tuple([_failure_report(arr, w, s) for s in arr.positions])
     essential = tuple([r.failed_position for r in reports if r.holes_in_original_span])
     return RobustnessReport(
         positions=arr.positions,
@@ -173,16 +188,9 @@ def survivor_weights(arr: SensorArray, failed: int):
     ``counts[0]`` is the survivor count. Useful for rendering healthy-vs-faulty
     weight comparisons.
     """
-    from .coarray import WeightTable
-
     if failed not in arr.positions:
         raise NotASensor(f"{failed} is not a sensor of {list(arr.positions)}")
-    survivors = [p for p in arr.positions if p != failed]
-    counts = [0] * (arr.aperture + 1)
-    counts[0] = len(survivors)
-    for i in range(len(survivors) - 1):
-        for j in range(i + 1, len(survivors)):
-            counts[survivors[j] - survivors[i]] += 1
+    counts = _survivor_counts(arr, weight_table(arr), failed)
     return WeightTable(arr.aperture, tuple(counts))
 
 
@@ -207,12 +215,7 @@ def check_failure_robustness(arr: SensorArray) -> bool:
     Endpoint failures are exempt: the endpoints are essential by definition
     and allowed to be.
     """
-    if arr.n < 3:
-        raise ValueError("failure analysis needs at least three sensors")
-    for s in arr.positions[1:-1]:
-        if failure_report(arr, s).holes_in_original_span:
-            return False
-    return True
+    return not any(r.holes_in_original_span for r in analyze(arr).per_sensor[1:-1])
 
 
 def rmra_check(

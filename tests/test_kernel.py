@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rmra
+from rmra import _kernel_py, kernel
 from rmra.catalog import all_entries
 from rmra.coarray import SensorArray
 from rmra.kernel import BACKEND, _rank_lex, available_backends
@@ -33,6 +39,38 @@ def full_scan(scan, n, l, filtered, mirror):
 
 def test_backend_selected():
     assert BACKEND in BACKENDS
+
+
+def test_falls_back_to_python_when_the_extension_is_missing():
+    # sys.modules[name] = None makes ``from . import _kernel_c`` raise ImportError
+    code = (
+        "import sys; sys.modules['rmra._kernel_c'] = None;"
+        " import rmra; print(rmra.KERNEL_BACKEND)"
+    )
+    src = Path(rmra.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "python"
+
+
+@needs_c
+@pytest.mark.parametrize("filtered", [False, True])
+def test_search_on_the_fallback_matches_the_compiled_engine(monkeypatch, filtered):
+    # The whole search as a build without the extension runs it.
+    def runs():
+        return [
+            loses_search(SearchConfig(n=n, prune_filters=filtered)).to_dict(include_timing=False)
+            for n in range(6, 11)
+        ]
+
+    compiled = runs()
+    monkeypatch.setattr(kernel, "scan", _kernel_py.scan)
+    assert runs() == compiled
 
 
 @needs_c

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from rmra import robustness
 from rmra.catalog import all_entries
 from rmra.cli import main
-from rmra.coarray import SensorArray, mirror, weight_table
+from rmra.coarray import SensorArray, difference_coarray, mirror, weight_table
 from rmra.robustness import (
+    ConstraintVerdict,
     NotASensor,
     analyze,
     check_failure_robustness,
@@ -76,8 +77,12 @@ class TestFailureReport:
             failure_report(RMRA7, 3)
 
     def test_needs_three_sensors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="three sensors"):
             failure_report(SensorArray((0, 5)), 0)
+
+    def test_not_a_sensor_is_reported_before_the_size(self):
+        with pytest.raises(NotASensor):
+            failure_report(SensorArray((0, 5)), 3)
 
 
 class TestEssentialAndFragility:
@@ -138,6 +143,58 @@ class TestSurvivorWeights:
         with pytest.raises(NotASensor):
             survivor_weights(RMRA7, 4)
 
+    def test_two_sensor_array(self):
+        assert survivor_weights(SensorArray((0, 5)), 0).counts == (1, 0, 0, 0, 0, 0)
+
+
+def brute_survivor_counts(positions, failed) -> tuple[int, ...]:
+    survivors = [p for p in positions if p != failed]
+    counts = [0] * (positions[-1] + 1)
+    counts[0] = len(survivors)
+    for a, b in combinations(survivors, 2):
+        counts[b - a] += 1
+    return tuple(counts)
+
+
+def oracle_arrays() -> list[SensorArray]:
+    """Every catalog array with positions, then 200 seeded random arrays."""
+    arrays = [SensorArray(e.positions) for e in all_entries() if e.positions]
+    rng = random.Random(41)
+    randoms = []
+    while len(randoms) < 200:
+        arr = random_array(rng, max_n=12, max_l=40)
+        if arr.n >= 3:
+            randoms.append(arr)
+    return arrays + randoms
+
+
+class TestTablesDerivedFromTheWeightTable:
+    # Brute-force pair recounts of what robustness and coarray read off one
+    # weight table, at every sensor including both endpoints.
+
+    def test_survivor_weights_match_a_recount(self):
+        for arr in oracle_arrays():
+            for s in arr.positions:
+                got = survivor_weights(arr, s).counts
+                assert got == brute_survivor_counts(arr.positions, s), (arr, s)
+
+    def test_failure_reports_match_a_recount(self):
+        for arr in oracle_arrays():
+            for s in arr.positions:
+                survivors = tuple([p for p in arr.positions if p != s])
+                present = {b - a for a, b in combinations(survivors, 2)}
+                rep = failure_report(arr, s)
+                assert rep.surviving_positions == survivors
+                assert rep.holes_in_original_span == tuple(
+                    [m for m in range(1, arr.aperture + 1) if m not in present]
+                ), (arr, s)
+                assert rep.span_after == survivors[-1] - survivors[0]
+
+    def test_difference_coarray_matches_the_pair_differences(self):
+        for arr in oracle_arrays():
+            lags = {0} | {b - a for a, b in combinations(arr.positions, 2)}
+            assert difference_coarray(arr).present == lags, arr
+
 
 class TestChecks:
     def test_healthy_weights(self):
@@ -149,6 +206,10 @@ class TestChecks:
         assert check_failure_robustness(RMRA7)
         assert not check_failure_robustness(FRA2_13)
         assert not check_failure_robustness(SensorArray((0, 1, 2)))
+
+    def test_failure_robustness_needs_three_sensors(self):
+        with pytest.raises(ValueError, match="three sensors"):
+            check_failure_robustness(SensorArray((0, 5)))
 
     def test_doubly_redundant_but_fragile_witness(self):
         # double redundancy is NOT robustness: the 13-sensor double-difference
@@ -181,6 +242,13 @@ class TestRmraCheck:
     def test_eleven_sensor_optimum(self):
         v = rmra_check(SensorArray((0, 1, 2, 3, 4, 10, 11, 16, 17, 21, 22)), 11, 22)
         assert v.overall
+
+    def test_two_sensors_never_have_two_essential(self):
+        v = rmra_check(SensorArray((0, 1)), 2, 1)
+        assert v == ConstraintVerdict(
+            size_ok=True, hole_free=True, doubly_redundant=True, two_essential=False, sparse=False
+        )
+        assert rmra_check(SensorArray((0, 1)), 2, 1, essential=(0, 1)) == v
 
     def test_wrong_size(self):
         assert not rmra_check(RMRA7, 8, 9).size_ok
@@ -233,13 +301,13 @@ class TestRmraCheck:
 @pytest.mark.parametrize("extra", [(), ("--failed", "8")])
 def test_analyze_command_runs_each_failure_report_once(capsys, monkeypatch, extra):
     calls = []
-    original = robustness.failure_report
+    original = robustness._failure_report
 
-    def counting(arr, failed):
+    def counting(arr, w, failed):
         calls.append(failed)
-        return original(arr, failed)
+        return original(arr, w, failed)
 
-    monkeypatch.setattr(robustness, "failure_report", counting)
+    monkeypatch.setattr(robustness, "_failure_report", counting)
     positions = (0, 1, 2, 5, 6, 8, 9)
     assert main(["analyze", ",".join(map(str, positions)), *extra]) == 0
     capsys.readouterr()

@@ -412,6 +412,27 @@ class TestCheckpoints:
         assert resumed.to_dict(include_timing=False) == uncapped.to_dict(include_timing=False)
         assert not path.exists()
 
+    def test_budget_spent_exactly_at_a_stage_boundary(self, tmp_path):
+        cfg = SearchConfig(n=11, prune_filters=False)
+        uncapped = loses_search(cfg)
+        # the budget covers every stage below L=22 and not one candidate more
+        budget = sum(s.candidates_examined for s in uncapped.stages if s.l < 22)
+        path = tmp_path / "run.ckpt"
+        capped = loses_search(
+            SearchConfig(
+                n=11, prune_filters=False, candidate_budget=budget, checkpoint_path=path
+            )
+        )
+        assert capped.verdict is Verdict.NEAR_OPTIMAL
+        assert capped.reason == "candidate budget exhausted"
+        assert capped.stages[-1].l == 21
+        assert capped.stages[-1].outcome is StageOutcome.FOUND
+        assert StageOutcome.BUDGET_EXCEEDED not in [s.outcome for s in capped.stages]
+        payload = checkpoint_load(path)
+        assert (payload["l"], payload["next_index"]) == (22, 0)
+        resumed = loses_search(SearchConfig(n=11, prune_filters=False, checkpoint_path=path))
+        assert resumed.to_dict(include_timing=False) == uncapped.to_dict(include_timing=False)
+
     def test_checkpoint_written_during_run(self, tmp_path):
         path = tmp_path / "run.ckpt"
         out = loses_search(SearchConfig(n=7, checkpoint_path=path))
