@@ -43,7 +43,6 @@ from .search import (
     StageOutcome,
     StageResult,
     Verdict,
-    aperture_lower_bound,
     aperture_upper_bound,
     candidate_count,
     checkpoint_load,

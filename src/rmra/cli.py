@@ -5,7 +5,7 @@ one JSON-serializable envelope; text and JSON output are two renderings of
 that same payload, and progress lines go to stderr so JSON stays pipe-safe.
 
 Exit codes: 0 success/valid, 1 analysis found a violation, 2 not found or
-outside the input domain, 3 usage error, 4 budget- or limit-capped search.
+outside the input domain, 3 usage error, 4 aperture-limit-capped search.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_NOT_FOUND = 2
 EXIT_USAGE = 3
-EXIT_BUDGET = 4
+EXIT_CAPPED = 4
 
 
 class UsageError(Exception):
@@ -81,7 +81,6 @@ def build_parser() -> _Parser:
     ps.add_argument("--n", type=int, required=True, help="sensor count (>= 6)")
     ps.add_argument("--l-start", type=int, default=None)
     ps.add_argument("--l-limit", type=int, default=None)
-    ps.add_argument("--tight-bounds", action="store_true")
     ps.add_argument("--no-filters", action="store_true", help="disable sound pruning filters")
     ps.add_argument(
         "--deterministic",
@@ -94,7 +93,6 @@ def build_parser() -> _Parser:
         default=1,
         help="accepted for compatibility; every stage scans on one thread",
     )
-    ps.add_argument("--budget", type=int, default=None, help="max candidates examined")
     ps.add_argument("--checkpoint", default=None, help="resumable checkpoint file")
     ps.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -260,10 +258,8 @@ def _cmd_search(args) -> int:
             n=args.n,
             l_start=args.l_start,
             l_limit=args.l_limit,
-            tight_bounds=args.tight_bounds,
             prune_filters=not args.no_filters,
             workers=args.workers,
-            candidate_budget=args.budget,
             checkpoint_path=args.checkpoint,
         )
     except ValueError as exc:
@@ -272,17 +268,12 @@ def _cmd_search(args) -> int:
     def report(stage) -> None:
         if stage.outcome is StageOutcome.FOUND:
             print(f"Valid configuration found for L = {stage.l}", file=sys.stderr)
-        elif stage.outcome is StageOutcome.EXHAUSTED:
-            print(f"Failure to find L = {stage.l} for N = {args.n}", file=sys.stderr)
         else:
-            print(
-                f"Search budget exhausted at L = {stage.l} for N = {args.n}",
-                file=sys.stderr,
-            )
+            print(f"Failure to find L = {stage.l} for N = {args.n}", file=sys.stderr)
 
     try:
         outcome = loses_search(cfg, on_stage=report)
-    except CorruptCheckpoint as exc:
+    except (CorruptCheckpoint, OSError) as exc:  # OSError: the checkpoint could not be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     env = _envelope(
@@ -291,10 +282,8 @@ def _cmd_search(args) -> int:
             "n": args.n,
             "l_start": cfg.effective_l_start(),
             "l_limit": args.l_limit,
-            "tight_bounds": args.tight_bounds,
             "filters": not args.no_filters,
             "workers": args.workers,
-            "budget": args.budget,
         },
         outcome.to_dict(),
         t0,
@@ -303,7 +292,7 @@ def _cmd_search(args) -> int:
     if outcome.verdict is Verdict.OPTIMAL:
         return EXIT_OK
     if outcome.verdict is Verdict.NEAR_OPTIMAL:
-        return EXIT_BUDGET
+        return EXIT_CAPPED
     return EXIT_NOT_FOUND
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "StageResult",
     "SearchOutcome",
     "Verdict",
-    "aperture_lower_bound",
     "aperture_upper_bound",
     "candidate_count",
     "checkpoint_load",
@@ -71,7 +70,6 @@ class CorruptCheckpoint(ValueError):
 class StageOutcome(str, Enum):
     FOUND = "found"
     EXHAUSTED = "exhausted"
-    BUDGET_EXCEEDED = "budget-exceeded"
 
 
 class Verdict(str, Enum):
@@ -84,19 +82,18 @@ class Verdict(str, Enum):
 class SearchConfig:
     """Knobs for one search run.
 
+    The run tries apertures ``l_start`` (default n) upward, one per found
+    stage; ``l_limit`` is the only cap, and a run it stops ends near-optimal.
     ``prune_filters`` pins grid points 1 and l-1 (see :func:`candidate_count`).
     ``workers`` is accepted for compatibility and changes nothing: every
-    stage scans on the calling thread. ``candidate_budget`` caps the total
-    candidates examined across the run.
+    stage scans on the calling thread.
     """
 
     n: int
     l_start: int | None = None
     l_limit: int | None = None
-    tight_bounds: bool = False
     prune_filters: bool = True
     workers: int = 1
-    candidate_budget: int | None = None
     checkpoint_path: str | Path | None = None
 
     def __post_init__(self) -> None:
@@ -104,8 +101,6 @@ class SearchConfig:
             raise ValueError("searches start at 6 sensors (smallest valid array)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.candidate_budget is not None and self.candidate_budget < 0:
-            raise ValueError("candidate_budget must be non-negative")
         if self.l_start is not None and self.l_start < self.n:
             raise ValueError("l_start must be at least n")
         start = self.effective_l_start()
@@ -115,9 +110,7 @@ class SearchConfig:
             raise ValueError("l_limit must be at least the starting aperture")
 
     def effective_l_start(self) -> int:
-        if self.l_start is not None:
-            return self.l_start
-        return aperture_lower_bound(self.n, self.tight_bounds)
+        return self.n if self.l_start is None else self.l_start
 
     def filter_signature(self) -> dict:
         """Enumeration-affecting settings; must match to resume a checkpoint."""
@@ -132,7 +125,9 @@ class StageResult:
     ``candidate_index`` is its unfiltered lexicographic rank, a stable
     identifier independent of filter settings. ``candidates_examined`` is
     the lexicographic prefix of the stage's enumeration needed to reach the
-    verdict, identical for uninterrupted and resumed runs.
+    verdict: that array's rank in the active enumeration plus one, or the
+    stage size when the stage is exhausted. It is identical for
+    uninterrupted and resumed runs.
     """
 
     l: int
@@ -186,19 +181,6 @@ class SearchOutcome:
             "reason": self.reason,
             "stages": [s.to_dict(include_timing) for s in self.stages],
         }
-
-
-def aperture_lower_bound(n: int, tight: bool = False) -> int:
-    """Smallest aperture worth trying.
-
-    The loose bound is n (sparsity demands l >= n). The tight bound adds the
-    redundancy ceiling for doubly covered coarrays, R = n(n-1)/(2l) < 4.
-    """
-    if n < 6:
-        raise ValueError("valid arrays need at least 6 sensors")
-    if not tight:
-        return n
-    return max(n, -(-(n * (n - 1)) // 8))
 
 
 def aperture_upper_bound(n: int) -> int:
@@ -300,7 +282,6 @@ def run_stage(
     cfg: SearchConfig,
     *,
     start_index: int = 0,
-    budget_remaining: int | None = None,
     on_progress: Callable[[int], None] | None = None,
 ) -> StageResult:
     """Scan one aperture's candidates; stop at the first valid array.
@@ -314,11 +295,9 @@ def run_stage(
     t0 = time.perf_counter()
     filtered = cfg.prune_filters
     size = candidate_count(n, l, filtered)
-    remaining = size - start_index
-    if remaining < 0:
+    if start_index > size:
         raise ValueError("start_index beyond stage size")
-    cap = remaining if budget_remaining is None else min(remaining, budget_remaining)
-    found = _scan(n, l, filtered, start_index, start_index + cap, on_progress)
+    found = _scan(n, l, filtered, start_index, size, on_progress)
     elapsed = time.perf_counter() - t0
 
     if found is not None:
@@ -331,13 +310,6 @@ def run_stage(
             elapsed=elapsed,
             array=arr,
             candidate_index=rank_candidate(n, l, arr),
-        )
-    if cap < remaining:
-        return StageResult(
-            l=l,
-            outcome=StageOutcome.BUDGET_EXCEEDED,
-            candidates_examined=start_index + cap,
-            elapsed=elapsed,
         )
     return StageResult(
         l=l,
@@ -415,13 +387,13 @@ def loses_search(
     """Run the staged search to an optimality verdict.
 
     Apertures increase by one per found stage. The first exhausted stage
-    proves the previous find optimal; running out of budget or hitting the
-    aperture limit first yields a near-optimal verdict instead. When
-    ``cfg.checkpoint_path`` names an existing checkpoint the run resumes
-    from it. The file is refreshed at most once a second, at a confirmed
-    frontier or a stage boundary, and removed once a verdict is reached,
-    except a verdict capped by the budget or the aperture limit: that one
-    leaves a final checkpoint, so a run without the cap continues it.
+    proves the previous find optimal; passing ``cfg.l_limit`` first yields a
+    near-optimal verdict instead. When ``cfg.checkpoint_path`` names an
+    existing checkpoint the run resumes from it. The file is refreshed at
+    most once a second, at a confirmed frontier or a stage boundary, and
+    removed once a verdict is reached, except a verdict capped by the
+    aperture limit: that one leaves a final checkpoint at the next stage's
+    start, so a run without the cap continues it.
     """
     upper = aperture_upper_bound(cfg.n)
     stages: list[StageResult] = []
@@ -453,21 +425,19 @@ def loses_search(
         )
         last_saved = time.monotonic()
 
-    # spent counts lexicographic-prefix work, so resumed runs keep exact
-    # budget accounting without double counting.
-    spent = sum(s.candidates_examined for s in stages) + start_index
     best: StageResult | None = next(
         (s for s in reversed(stages) if s.outcome is StageOutcome.FOUND), None
     )
     verdict: Verdict
     reason: str | None = None
 
-    capped = True  # cleared by the verdicts no cap can change
+    capped = False
     while True:
         if cfg.l_limit is not None and l > cfg.l_limit:
             verdict = Verdict.NEAR_OPTIMAL if best is not None else Verdict.NONE_FOUND
             reason = "aperture limit reached"
             save(l, 0, stages, force=True)
+            capped = True
             break
         if l > upper:
             # Beyond the pair budget no candidate can doubly cover 1..l-1,
@@ -481,13 +451,6 @@ def loses_search(
             verdict = Verdict.OPTIMAL if best is not None else Verdict.NONE_FOUND
             if best is None:
                 reason = "aperture upper bound reached"
-            capped = False
-            break
-        avail = None if cfg.candidate_budget is None else max(cfg.candidate_budget - spent, 0)
-        if avail == 0:
-            verdict = Verdict.NEAR_OPTIMAL if best is not None else Verdict.NONE_FOUND
-            reason = "candidate budget exhausted"
-            save(l, start_index, stages, force=True)
             break
 
         result = run_stage(
@@ -495,30 +458,20 @@ def loses_search(
             l,
             cfg,
             start_index=start_index,
-            budget_remaining=avail,
             on_progress=(lambda i, _l=l: save(_l, i, stages)) if ckpt is not None else None,
         )
         stages.append(result)
         start_index = 0
-        spent = sum(s.candidates_examined for s in stages)
         if on_stage is not None:
             on_stage(result)
-        if result.outcome is StageOutcome.FOUND:
-            best = result
-            l += 1
-            save(l, 0, stages)
-            continue
         if result.outcome is StageOutcome.EXHAUSTED:
             verdict = Verdict.OPTIMAL if best is not None else Verdict.NONE_FOUND
             if best is None:
                 reason = "first stage exhausted"
-            capped = False
             break
-        verdict = Verdict.NEAR_OPTIMAL if best is not None else Verdict.NONE_FOUND
-        reason = "candidate budget exhausted"
-        # resume inside the capped stage, at its confirmed frontier
-        save(l, result.candidates_examined, stages[:-1], force=True)
-        break
+        best = result
+        l += 1
+        save(l, 0, stages)
 
     if not capped and ckpt is not None and ckpt.exists():
         ckpt.unlink()

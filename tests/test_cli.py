@@ -51,11 +51,26 @@ class TestSearch:
         assert env["result"]["verdict"] == "optimal"
         assert env["result"]["best_array"] == [0, 1, 2, 3, 5, 6]
 
-    def test_budget_exit_code(self, capsys):
-        code, out, err = run(capsys, "search", "--n", "16", "--budget", "1000000")
+    def test_l_limit_exit_code(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "12", "--l-limit", "14")
         assert code == 4
-        env_line = [l for l in out.splitlines() if l.startswith("verdict")][0]
-        assert "near-optimal" in env_line
+        assert "verdict: near-optimal" in out
+        assert "reason: aperture limit reached" in out
+        # the candidate budget and the tight start are gone
+        assert run(capsys, "search", "--n", "12", "--budget", "5")[0] == 3
+        assert run(capsys, "search", "--n", "12", "--tight-bounds")[0] == 3
+        _, out, _ = run(capsys, "search", "--n", "12", "--l-limit", "14", "--format", "json")
+        assert list(json.loads(out)["inputs"]) == ["n", "l_start", "l_limit", "filters", "workers"]
+
+    def test_unwritable_checkpoint_is_an_error_not_a_crash(self, capsys, tmp_path):
+        # a capped run always writes its checkpoint, here into a missing directory
+        path = tmp_path / "missing" / "run.ckpt"
+        code, out, err = run(
+            capsys, "search", "--n", "12", "--l-limit", "14", "--checkpoint", str(path)
+        )
+        assert code == 3
+        assert err.splitlines()[-1].startswith("error: ")
+        assert "run.ckpt" in err
 
     def test_usage_errors(self, capsys):
         assert run(capsys, "search", "--n", "5")[0] == 3

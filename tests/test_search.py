@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmra import search
+from rmra import kernel, search
 from rmra.coarray import SensorArray
 from rmra.robustness import rmra_check
 from rmra.search import (
@@ -21,7 +22,6 @@ from rmra.search import (
     SearchConfig,
     StageOutcome,
     Verdict,
-    aperture_lower_bound,
     aperture_upper_bound,
     candidate_count,
     checkpoint_load,
@@ -38,22 +38,16 @@ from conftest import OPTIMAL_APERTURES, TABLE4
 
 class TestBounds:
     def test_lower_bound(self):
-        assert aperture_lower_bound(11, False) == 11
-        assert aperture_lower_bound(11, True) == 14  # ceil(110/8)
-        assert aperture_lower_bound(6, True) == 6  # ceil(30/8) floored to n
+        # every trail starts at l = n, as in the paper, unless told otherwise
+        assert SearchConfig(n=11).effective_l_start() == 11
+        assert SearchConfig(n=11, l_start=14).effective_l_start() == 14
 
     def test_upper_bound(self):
         assert aperture_upper_bound(11) == 28
         assert aperture_upper_bound(6) == 8
         assert aperture_upper_bound(15) == 53
 
-    def test_tight_bound_never_skips_optimum(self):
-        for n in range(6, 14):
-            assert aperture_lower_bound(n, True) <= OPTIMAL_APERTURES[n]
-
     def test_too_few_sensors(self):
-        with pytest.raises(ValueError):
-            aperture_lower_bound(5)
         with pytest.raises(ValueError):
             aperture_upper_bound(5)
 
@@ -130,12 +124,6 @@ class TestRunStage:
         assert res.outcome is StageOutcome.EXHAUSTED
         assert res.candidates_examined == 497420
 
-    def test_budget_cuts_stage(self):
-        cfg = SearchConfig(n=11, prune_filters=False)
-        res = run_stage(11, 23, cfg, budget_remaining=1000)
-        assert res.outcome is StageOutcome.BUDGET_EXCEEDED
-        assert res.candidates_examined == 1000
-
     def test_found_stages_pass_reference_checker(self):
         for n in (6, 7, 8):
             cfg = SearchConfig(n=n)
@@ -171,13 +159,6 @@ class TestLosesSearch:
         # every found array passes the reference checker
         for s in found:
             assert rmra_check(s.array, 11, s.l).overall
-
-    def test_budget_stops_run(self):
-        out = loses_search(SearchConfig(n=11, candidate_budget=500))
-        assert out.verdict is Verdict.NEAR_OPTIMAL
-        assert out.reason == "candidate budget exhausted"
-        assert out.stages[-1].outcome is StageOutcome.BUDGET_EXCEEDED
-        assert out.optimal_aperture == out.stages[-2].l
 
     def test_aperture_limit_stops_run(self):
         out = loses_search(SearchConfig(n=6, l_limit=6))
@@ -394,44 +375,33 @@ class TestCheckpoints:
         assert resumed.to_dict(include_timing=False) == uncapped.to_dict(include_timing=False)
         assert not path.exists()
 
-    def test_budget_capped_run_resumes_to_the_uncapped_outcome(self, tmp_path):
+    def test_interrupted_run_resumes_from_its_mid_stage_checkpoint(self, tmp_path, monkeypatch):
+        # n=11 unfiltered exhausts L=23 over four chunks; a clock that moves a
+        # second per reading makes the checkpoint timer fire at every chunk end
         cfg = SearchConfig(n=11, prune_filters=False)
-        uncapped = loses_search(cfg)
-        # stop 100 candidates into stage l=22, before its first valid array
-        budget = sum(s.candidates_examined for s in uncapped.stages if s.l < 22) + 100
+        uninterrupted = loses_search(cfg)
         path = tmp_path / "run.ckpt"
-        capped = loses_search(
-            SearchConfig(
-                n=11, prune_filters=False, candidate_budget=budget, checkpoint_path=path
-            )
-        )
-        assert capped.reason == "candidate budget exhausted"
-        payload = checkpoint_load(path)
-        assert (payload["l"], payload["next_index"]) == (22, 100)
-        resumed = loses_search(SearchConfig(n=11, prune_filters=False, checkpoint_path=path))
-        assert resumed.to_dict(include_timing=False) == uncapped.to_dict(include_timing=False)
-        assert not path.exists()
+        ticks = itertools.count()
+        monkeypatch.setattr(search.time, "monotonic", lambda: float(next(ticks)))
+        scan = kernel.scan
 
-    def test_budget_spent_exactly_at_a_stage_boundary(self, tmp_path):
-        cfg = SearchConfig(n=11, prune_filters=False)
-        uncapped = loses_search(cfg)
-        # the budget covers every stage below L=22 and not one candidate more
-        budget = sum(s.candidates_examined for s in uncapped.stages if s.l < 22)
-        path = tmp_path / "run.ckpt"
-        capped = loses_search(
-            SearchConfig(
-                n=11, prune_filters=False, candidate_budget=budget, checkpoint_path=path
-            )
-        )
-        assert capped.verdict is Verdict.NEAR_OPTIMAL
-        assert capped.reason == "candidate budget exhausted"
-        assert capped.stages[-1].l == 21
-        assert capped.stages[-1].outcome is StageOutcome.FOUND
-        assert StageOutcome.BUDGET_EXCEEDED not in [s.outcome for s in capped.stages]
+        def killed_after_a_mid_stage_write(n, l, *args):
+            if path.exists() and checkpoint_load(path)["next_index"] > 0:
+                raise KeyboardInterrupt
+            return scan(n, l, *args)
+
+        monkeypatch.setattr(kernel, "scan", killed_after_a_mid_stage_write)
+        with pytest.raises(KeyboardInterrupt):
+            loses_search(SearchConfig(n=11, prune_filters=False, checkpoint_path=path))
+        monkeypatch.undo()
         payload = checkpoint_load(path)
-        assert (payload["l"], payload["next_index"]) == (22, 0)
+        assert (payload["l"], payload["next_index"]) == (23, search._FIRST_CHUNK)
+        assert [s["l"] for s in payload["stages"]] == list(range(11, 23))
         resumed = loses_search(SearchConfig(n=11, prune_filters=False, checkpoint_path=path))
-        assert resumed.to_dict(include_timing=False) == uncapped.to_dict(include_timing=False)
+        assert resumed.to_dict(include_timing=False) == uninterrupted.to_dict(
+            include_timing=False
+        )
+        assert not path.exists()
 
     def test_checkpoint_written_during_run(self, tmp_path):
         path = tmp_path / "run.ckpt"

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
+import itertools
+import re
 from pathlib import Path
 
 import rmra
+from rmra.cli import build_parser
 
 PACKAGE = Path(rmra.__file__).resolve().parent
 # The pure-Python kernel is the reference oracle the compiled kernel is
@@ -35,3 +39,22 @@ def test_no_tuple_of_a_generator_expression():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_readme_search_flag_table_lists_the_parser_options():
+    # The table is the search command's reference; it has drifted from the
+    # parser before.
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("Flags for `search`:")
+    documented = []
+    for line in itertools.takewhile(lambda s: s.startswith("|"), lines[start + 2 :]):
+        first_cell = re.match(r"\| `([^`]*)` \|", line)
+        if first_cell:
+            documented += re.findall(r"--[a-z][a-z-]*", first_cell.group(1))
+    search = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices["search"]
+    options = [
+        opt for a in search._actions for opt in a.option_strings if opt not in ("-h", "--help")
+    ]
+    assert sorted(documented) == sorted(options)
