@@ -3,6 +3,8 @@
 Subcommands: search | analyze | catalog | verify | ies. Every command builds
 one JSON-serializable envelope; text and JSON output are two renderings of
 that same payload, and progress lines go to stderr so JSON stays pipe-safe.
+`--format json` prints the envelope on one line; pipe it to `jq .` or
+`python -m json.tool` to read it.
 
 Exit codes: 0 success/valid, 1 analysis found a violation, 2 not found or
 outside the input domain, 3 usage error, 4 aperture-limit-capped search.
@@ -29,7 +31,7 @@ from .coarray import (
     canonicalize,
     extend_repeated_spacing,
     ies_of,
-    weight_table,
+    weight_table,  # noqa: F401  (unused here; perfbench/tracer.py wraps rmra.cli.weight_table)
 )
 from .robustness import NotASensor, analyze, rmra_check, survivor_weights
 from .search import (
@@ -131,7 +133,8 @@ def _envelope(command: str, inputs: dict, result: dict, t0: float) -> dict:
 
 def _emit(env: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(env, indent=2))
+        # One line: without ``indent`` CPython renders with its C encoder.
+        print(json.dumps(env))
     elif fmt == "csv":
         print(render_csv(env), end="")
     else:
@@ -303,12 +306,12 @@ def _cmd_analyze(args) -> int:
     if arr.n < 3:
         raise UsageError("analysis needs at least three sensors")
     report = analyze(arr)
-    verdict = rmra_check(arr, arr.n, arr.aperture, essential=report.essential)
+    verdict = rmra_check(arr, arr.n, arr.aperture, report=report)
     result = {
         "positions": list(arr.positions),
         "n": arr.n,
         "l": arr.aperture,
-        "weights": list(weight_table(arr).counts),
+        "weights": list(report.weights.counts),
         "essential": list(report.essential),
         "fragility": str(report.fragility),
         "verdict": verdict.to_dict(),
@@ -327,7 +330,7 @@ def _cmd_analyze(args) -> int:
             raise NotASensor(f"{args.failed} is not a sensor of {list(arr.positions)}")
         result["failed_detail"] = {
             "failed": args.failed,
-            "weights": list(survivor_weights(arr, args.failed).counts),
+            "weights": list(survivor_weights(arr, args.failed, report=report).counts),
             "holes": list(detail.holes_in_original_span),
             "span_after": detail.span_after,
         }

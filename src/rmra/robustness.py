@@ -70,12 +70,17 @@ class FailureReport:
 
 @dataclass(frozen=True, slots=True)
 class RobustnessReport:
-    """Full per-sensor failure analysis of one array."""
+    """Full per-sensor failure analysis of one array.
+
+    ``weights`` is the healthy weight table every report was read from;
+    ``rmra_check`` and ``survivor_weights`` take the report to reuse it.
+    """
 
     positions: tuple[int, ...]
     essential: tuple[int, ...]
     fragility: Fragility
     per_sensor: tuple[FailureReport, ...]
+    weights: WeightTable
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,19 +184,23 @@ def analyze(arr: SensorArray) -> RobustnessReport:
         essential=essential,
         fragility=Fragility(len(essential), arr.n),
         per_sensor=reports,
+        weights=w,
     )
 
 
-def survivor_weights(arr: SensorArray, failed: int):
+def survivor_weights(
+    arr: SensorArray, failed: int, *, report: RobustnessReport | None = None
+) -> WeightTable:
     """Weight table of the survivors, indexed over the ORIGINAL aperture.
 
     ``counts[0]`` is the survivor count. Useful for rendering healthy-vs-faulty
-    weight comparisons.
+    weight comparisons. ``report`` is ``analyze(arr)`` when the caller already
+    has it; its weight table is then reused.
     """
     if failed not in arr.positions:
         raise NotASensor(f"{failed} is not a sensor of {list(arr.positions)}")
-    counts = _survivor_counts(arr, weight_table(arr), failed)
-    return WeightTable(arr.aperture, tuple(counts))
+    w = weight_table(arr) if report is None else report.weights
+    return WeightTable(arr.aperture, tuple(_survivor_counts(arr, w, failed)))
 
 
 def check_healthy_weights(arr: SensorArray) -> bool:
@@ -219,7 +228,7 @@ def check_failure_robustness(arr: SensorArray) -> bool:
 
 
 def rmra_check(
-    arr: SensorArray, n: int, l: int, *, essential: tuple[int, ...] | None = None
+    arr: SensorArray, n: int, l: int, *, report: RobustnessReport | None = None
 ) -> ConstraintVerdict:
     """Evaluate the five validity predicates against a claimed (n, l).
 
@@ -227,20 +236,18 @@ def rmra_check(
     {0, l}; ``doubly_redundant`` demands the doubly redundant span reach
     ``l - 1``; ``hole_free`` demands every lag in ``1..l`` be present.
 
-    ``essential`` is ``arr``'s essential-sensor set when the caller already
-    has it (``analyze(arr).essential``); without it the failure analysis is
-    run here.
+    ``report`` is ``analyze(arr)`` when the caller already has it; without it
+    the failure analysis is run here. Either way one weight table serves every
+    predicate.
     """
-    w = weight_table(arr)
+    if report is None and arr.n >= 3:
+        report = analyze(arr)
+    w = weight_table(arr) if report is None else report.weights
     size_ok = arr.n == n
     in_reach = arr.aperture == l
     hole_free = in_reach and all(w.counts[m] >= 1 for m in range(1, l + 1))
     doubly = in_reach and doubly_redundant_span(w) == l - 1
-    if arr.n >= 3:
-        ess = essential_sensors(arr) if essential is None else essential
-        two_essential = in_reach and ess == (0, l)
-    else:
-        two_essential = False
+    two_essential = report is not None and in_reach and report.essential == (0, l)
     return ConstraintVerdict(
         size_ok=size_ok,
         hole_free=hole_free,

@@ -328,7 +328,10 @@ def checkpoint_save(
     stages: Iterable[StageResult],
     filters: dict,
 ) -> None:
-    """Write a resumable snapshot; the digest seals all other fields."""
+    """Write a resumable snapshot; the digest seals all other fields.
+
+    A failed write raises ``OSError`` naming ``path``, not its temporary file.
+    """
     payload = {
         "version": _CHECKPOINT_VERSION,
         "n": n,
@@ -340,16 +343,19 @@ def checkpoint_save(
     payload["digest"] = _digest(payload)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as f:
-        f.write(json.dumps(payload))
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-    fd = os.open(path.parent, os.O_RDONLY)  # make the rename itself durable
     try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+        with open(tmp, "w") as f:
+            f.write(json.dumps(payload))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+        fd = os.open(path.parent, os.O_RDONLY)  # make the rename itself durable
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise OSError(f"could not write checkpoint {path}: {exc.strerror or exc}") from exc
 
 
 def checkpoint_load(path: str | Path) -> dict:

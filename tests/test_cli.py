@@ -69,8 +69,9 @@ class TestSearch:
             capsys, "search", "--n", "12", "--l-limit", "14", "--checkpoint", str(path)
         )
         assert code == 3
-        assert err.splitlines()[-1].startswith("error: ")
-        assert "run.ckpt" in err
+        # the message names the file asked for, not the temporary one beside it
+        assert err.splitlines()[-1].startswith(f"error: could not write checkpoint {path}: ")
+        assert ".tmp" not in err
 
     def test_usage_errors(self, capsys):
         assert run(capsys, "search", "--n", "5")[0] == 3
@@ -291,3 +292,25 @@ class TestParserReuse:
             check=False,
         )
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
+
+
+ENVELOPES = Path(__file__).resolve().parent / "data" / "json_envelopes.jsonl"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [json.loads(line) for line in ENVELOPES.read_text().splitlines()],
+    ids=lambda case: " ".join(case["argv"]),
+)
+def test_json_output_is_one_line_holding_the_recorded_envelope(capsys, case):
+    # The recorded envelopes come from the earlier indented renderer, timings
+    # removed; the one-line rendering must carry the same payload in the same
+    # key order.
+    code, out, _ = run(capsys, *case["argv"], "--format", "json")
+    assert code == case["exit_code"]
+    assert out.endswith("\n") and out.count("\n") == 1
+    env = json.loads(out)
+    assert list(env.pop("timing")) == ["seconds"]
+    for stage in env["result"].get("stages", []):
+        del stage["elapsed"]
+    assert json.dumps(env) == json.dumps(case["envelope"])

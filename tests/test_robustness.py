@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -174,9 +175,14 @@ class TestTablesDerivedFromTheWeightTable:
 
     def test_survivor_weights_match_a_recount(self):
         for arr in oracle_arrays():
+            report = analyze(arr) if arr.n >= 3 else None
+            if report is not None:
+                assert report.weights == weight_table(arr)
             for s in arr.positions:
                 got = survivor_weights(arr, s).counts
                 assert got == brute_survivor_counts(arr.positions, s), (arr, s)
+                if report is not None:
+                    assert survivor_weights(arr, s, report=report).counts == got
 
     def test_failure_reports_match_a_recount(self):
         for arr in oracle_arrays():
@@ -248,7 +254,6 @@ class TestRmraCheck:
         assert v == ConstraintVerdict(
             size_ok=True, hole_free=True, doubly_redundant=True, two_essential=False, sparse=False
         )
-        assert rmra_check(SensorArray((0, 1)), 2, 1, essential=(0, 1)) == v
 
     def test_wrong_size(self):
         assert not rmra_check(RMRA7, 8, 9).size_ok
@@ -294,8 +299,8 @@ class TestRmraCheck:
             if arr.n >= 3:
                 randoms.append((arr, arr.n, arr.aperture))
         for arr, n, l in claims + randoms:
-            essential = analyze(arr).essential
-            assert rmra_check(arr, n, l, essential=essential) == rmra_check(arr, n, l)
+            report = analyze(arr)
+            assert rmra_check(arr, n, l, report=report) == rmra_check(arr, n, l)
 
 
 @pytest.mark.parametrize("extra", [(), ("--failed", "8")])
@@ -312,3 +317,33 @@ def test_analyze_command_runs_each_failure_report_once(capsys, monkeypatch, extr
     assert main(["analyze", ",".join(map(str, positions)), *extra]) == 0
     capsys.readouterr()
     assert sorted(calls) == list(positions)
+
+
+@pytest.fixture
+def weight_table_calls(monkeypatch):
+    """Every ``weight_table`` call, under each name the package imported it as."""
+    calls = []
+    original = weight_table
+
+    def counting(arr):
+        calls.append(arr)
+        return original(arr)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rmra") and getattr(module, "weight_table", None) is original:
+            monkeypatch.setattr(module, "weight_table", counting)
+    return calls
+
+
+@pytest.mark.parametrize("extra", [(), ("--failed", "8")])
+def test_analyze_command_builds_one_weight_table(capsys, weight_table_calls, extra):
+    assert main(["analyze", "0,1,2,5,6,8,9", *extra, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(weight_table_calls) == 1
+
+
+def test_verify_builds_one_weight_table_per_entry_with_positions(capsys, weight_table_calls):
+    assert main(["verify", "--format", "json"]) == 0
+    capsys.readouterr()
+    with_positions = sum(1 for e in all_entries() if e.positions is not None)
+    assert len(weight_table_calls) == with_positions == 116
