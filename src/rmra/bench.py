@@ -1,17 +1,14 @@
-"""Benchmark the stage scanners and the whole search.
+"""Benchmark the stage scanner and the whole search.
 
 Run as ``python -m rmra.bench``. By default it times one full stage with
-each available backend; the headline figure is the stage's wall time. The
-reference stage (11 sensors, aperture 23) is the classic half-million-
-candidate exhaustion proof. Candidates/s counts the lexicographic candidates
-a stage covers: the pure-Python scanner visits each of them, the compiled
-branch-and-bound engine prunes most of them unvisited, so it is no measure
-of work done. Pure Python sits out stages above two million candidates,
-which would take it minutes.
+:func:`rmra.kernel.scan`, the scanner every search runs, labelled with
+``kernel.BACKEND``; the figure is the stage's best wall time. The reference
+stage (11 sensors, aperture 23) is the classic half-million-candidate
+exhaustion proof.
 
 ``--search N`` times :func:`rmra.search.loses_search` end to end for N
-sensors at 1 and 2 workers instead. ``--json`` prints the same figures, plus
-the host, as one JSON document.
+sensors instead. ``--json`` prints the same figures, plus the host, as one
+JSON document.
 """
 
 from __future__ import annotations
@@ -22,15 +19,13 @@ import os
 import platform
 import time
 
-from .kernel import BACKEND, available_backends
+from . import kernel
 from .search import SearchConfig, candidate_count, loses_search
-
-PYTHON_STAGE_LIMIT = 2_000_000  # candidates; ~0.2-0.3 M/s makes larger stages minutes long
 
 
 def bench_backend(scan, n: int, l: int, filtered: bool, repeat: int) -> tuple[float, int]:
     total = candidate_count(n, l, filtered)
-    k = (n - 4) if filtered else (n - 2)
+    k, _, _ = kernel.stage_shape(n, l, filtered)
     first = list(range(k))
     best = float("inf")
     for _ in range(repeat):
@@ -46,12 +41,12 @@ def bench_backend(scan, n: int, l: int, filtered: bool, repeat: int) -> tuple[fl
     return best, total
 
 
-def bench_search(n: int, workers: int, repeat: int) -> dict:
+def bench_search(n: int, repeat: int) -> dict:
     """Best wall seconds of ``repeat`` whole searches, with their verdict."""
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        outcome = loses_search(SearchConfig(n=n, workers=workers))
+        outcome = loses_search(SearchConfig(n=n))
         best = min(best, time.perf_counter() - t0)
     return {"seconds": best, "verdict": outcome.verdict.value,
             "optimal_aperture": outcome.optimal_aperture}
@@ -63,27 +58,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--l", type=int, default=23)
     parser.add_argument("--filtered", action="store_true")
     parser.add_argument("--search", type=int, default=None, metavar="N",
-                        help="time a whole search for N sensors at 1 and 2 workers")
+                        help="time a whole search for N sensors")
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--json", action="store_true", help="print one JSON document")
     args = parser.parse_args(argv)
 
     if args.search is not None:
-        runs = {str(w): bench_search(args.search, w, args.repeat) for w in (1, 2)}
-        doc = {"search": {"n": args.search, "backend": BACKEND}, "workers": runs}
+        doc = {"search": {"n": args.search}, "backend": kernel.BACKEND,
+               **bench_search(args.search, args.repeat)}
     else:
-        total = candidate_count(args.n, args.l, args.filtered)
-        backends = available_backends()
-        compiled = "c" in backends
-        if total > PYTHON_STAGE_LIMIT:
-            backends.pop("python")
-        results = {}
-        for name, scan in backends.items():
-            dt, _ = bench_backend(scan, args.n, args.l, args.filtered, args.repeat)
-            results[name] = {"seconds": dt, "candidates_per_s": total / dt}
+        dt, total = bench_backend(kernel.scan, args.n, args.l, args.filtered, args.repeat)
         doc = {
             "stage": {"n": args.n, "l": args.l, "filtered": args.filtered, "candidates": total},
-            "backends": results,
+            "backend": kernel.BACKEND,
+            "seconds": dt,
         }
     if args.json:
         doc["repeat"] = args.repeat
@@ -96,21 +84,12 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(doc, indent=2))
         return 0
     if args.search is not None:
-        print(f"search: n={args.search} backend={BACKEND}")
-        for workers, r in runs.items():
-            print(f"  workers={workers}  {r['seconds'] * 1e3:10.3f} ms   "
-                  f"{r['verdict']}, aperture {r['optimal_aperture']}")
+        print(f"search: n={args.search} backend={kernel.BACKEND}")
+        print(f"  {doc['seconds'] * 1e3:10.3f} ms   "
+              f"{doc['verdict']}, aperture {doc['optimal_aperture']}")
         return 0
     print(f"stage: n={args.n} l={args.l} filtered={args.filtered} ({total} candidates)")
-    for name, r in results.items():
-        print(f"  {name:<8} {r['seconds'] * 1e3:10.3f} ms   "
-              f"({r['candidates_per_s'] / 1e6:.2f} M lexicographic candidates/s covered)")
-    if "c" in results and "python" in results:
-        print(f"  speedup: {results['python']['seconds'] / results['c']['seconds']:.1f}x")
-    if "python" not in results:
-        print(f"  python   skipped: stage above {PYTHON_STAGE_LIMIT:,} candidates")
-    if not compiled:
-        print("  compiled backend unavailable")
+    print(f"  {kernel.BACKEND:<8} {dt * 1e3:10.3f} ms")
     return 0
 
 

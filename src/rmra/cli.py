@@ -87,13 +87,14 @@ def build_parser() -> _Parser:
     ps.add_argument(
         "--deterministic",
         action="store_true",
-        help="accepted for compatibility; every search is deterministic",
+        help="no effect; kept for the benchmark's command lines (searches are deterministic)",
     )
     ps.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="accepted for compatibility; every stage scans on one thread",
+        help="no effect, must be >= 1; kept for the benchmark's command lines"
+        " (searches scan on one thread)",
     )
     ps.add_argument("--checkpoint", default=None, help="resumable checkpoint file")
     ps.add_argument("--format", choices=("text", "json"), default="text")
@@ -256,13 +257,14 @@ def render_csv(env: dict) -> str:
 
 def _cmd_search(args) -> int:
     t0 = time.perf_counter()
+    if args.workers < 1 and args.n >= 6:  # a too-small --n is reported first
+        raise UsageError("workers must be >= 1")
     try:
         cfg = SearchConfig(
             n=args.n,
             l_start=args.l_start,
             l_limit=args.l_limit,
             prune_filters=not args.no_filters,
-            workers=args.workers,
             checkpoint_path=args.checkpoint,
         )
     except ValueError as exc:
@@ -286,7 +288,6 @@ def _cmd_search(args) -> int:
             "l_start": cfg.effective_l_start(),
             "l_limit": args.l_limit,
             "filters": not args.no_filters,
-            "workers": args.workers,
         },
         outcome.to_dict(),
         t0,

@@ -16,6 +16,12 @@ except ImportError:
     _kernel_c = None
 
 
+def stage_shape(n: int, l: int, filtered: bool) -> tuple[int, int, int]:
+    """(k, m, base): a stage's active enumeration chooses k interior sensors
+    from the m grid points base..base+m-1. Filtering also pins points 1 and l-1."""
+    return (n - 4, l - 3, 2) if filtered else (n - 2, l - 1, 1)
+
+
 def _unrank_lex(index: int, m: int, k: int) -> list[int]:
     """index-th k-subset of {0..m-1} in lexicographic order."""
     combo = []
@@ -60,7 +66,7 @@ def _compiled_scan(
     end), and ``examined`` is the find's offset plus one, or the window size.
     Ranks pass 64 bits at large apertures, so they stay Python ints here.
     """
-    k, m, base = (n - 4, l - 3, 2) if filtered else (n - 2, l - 1, 1)
+    k, m, base = stage_shape(n, l, filtered)
     start = _rank_lex(first, m, k)
     # a one-candidate window when count <= 0, so bad arguments still raise
     end = min(start + max(count, 1), math.comb(m, k))

@@ -82,17 +82,6 @@ class RobustnessReport:
     per_sensor: tuple[FailureReport, ...]
     weights: WeightTable
 
-    def to_json_dict(self) -> dict:
-        return {
-            "positions": list(self.positions),
-            "essential": list(self.essential),
-            "fragility": str(self.fragility),
-            "failures": [
-                {"failed": fr.failed_position, "holes": list(fr.holes_in_original_span)}
-                for fr in self.per_sensor
-            ],
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class ConstraintVerdict:

@@ -85,22 +85,17 @@ class SearchConfig:
     The run tries apertures ``l_start`` (default n) upward, one per found
     stage; ``l_limit`` is the only cap, and a run it stops ends near-optimal.
     ``prune_filters`` pins grid points 1 and l-1 (see :func:`candidate_count`).
-    ``workers`` is accepted for compatibility and changes nothing: every
-    stage scans on the calling thread.
     """
 
     n: int
     l_start: int | None = None
     l_limit: int | None = None
     prune_filters: bool = True
-    workers: int = 1
     checkpoint_path: str | Path | None = None
 
     def __post_init__(self) -> None:
         if self.n < 6:
             raise ValueError("searches start at 6 sensors (smallest valid array)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.l_start is not None and self.l_start < self.n:
             raise ValueError("l_start must be at least n")
         start = self.effective_l_start()
@@ -202,9 +197,8 @@ def candidate_count(n: int, l: int, filtered: bool = False) -> int:
     """
     if n < 4 or l < n:
         raise ValueError("need l >= n >= 4")
-    if filtered:
-        return math.comb(l - 3, n - 4)
-    return math.comb(l - 1, n - 2)
+    k, m, _ = kernel.stage_shape(n, l, filtered)
+    return math.comb(m, k)
 
 
 def unrank_candidate(n: int, l: int, index: int) -> SensorArray:
@@ -226,9 +220,8 @@ def rank_candidate(n: int, l: int, arr: SensorArray | Sequence[int]) -> int:
 
 def _unrank_active(n: int, l: int, filtered: bool, index: int) -> list[int]:
     """0-based interior combination at `index` of the active enumeration."""
-    if filtered:
-        return _unrank_lex(index, l - 3, n - 4)
-    return _unrank_lex(index, l - 1, n - 2)
+    k, m, _ = kernel.stage_shape(n, l, filtered)
+    return _unrank_lex(index, m, k)
 
 
 def _scan_chunk(

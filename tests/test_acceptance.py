@@ -17,6 +17,7 @@ import pytest
 
 from rmra import kernel
 from rmra.catalog import known_arrays, verify_catalog
+from rmra.cli import main
 from rmra.coarray import (
     SensorArray,
     extend_repeated_spacing,
@@ -271,13 +272,28 @@ def test_criterion_7f_checkpoint_resume_identical(tmp_path):
     assert a == b
 
 
-def test_criterion_7g_parallel_equals_serial():
-    """Eight workers and one worker produce identical outcomes
-    for every sensor count up to 11."""
+def test_criterion_7g_parallel_equals_serial(capsys):
+    """``--workers 2 --deterministic`` changes no exit code, stderr or stdout
+    byte of ``rmra search`` (timings aside) for every sensor count up to 11."""
+
+    def run(*argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return code, err, out
+
+    def run_json(*argv):
+        code, err, out = run(*argv, "--format", "json")
+        env = json.loads(out)
+        del env["timing"]
+        for stage in env["result"]["stages"]:
+            del stage["elapsed"]
+        return code, err, env
+
     for n in range(6, 12):
-        serial = loses_search(SearchConfig(n=n, workers=1))
-        parallel = loses_search(SearchConfig(n=n, workers=8))
-        assert parallel.to_dict(include_timing=False) == serial.to_dict(include_timing=False)
+        plain = ("search", "--n", str(n))
+        flagged = (*plain, "--workers", "2", "--deterministic")
+        assert run(*flagged) == run(*plain)
+        assert run_json(*flagged) == run_json(*plain)
 
 
 def test_criterion_8_double_redundancy_is_not_robustness():

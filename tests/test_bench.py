@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from rmra.bench import bench_backend, main
-from rmra.kernel import available_backends
+from rmra.kernel import BACKEND, available_backends
 from rmra.search import candidate_count
 
 
@@ -21,31 +19,24 @@ def test_bench_scans_whole_stage():
 def test_bench_main_runs(capsys):
     assert main(["--n", "6", "--l", "8", "--repeat", "1"]) == 0
     out = capsys.readouterr().out
-    assert "python" in out
-    assert "candidates/s" in out
+    assert f"  {BACKEND:<8} " in out
+    assert "candidates/s" not in out
 
 
 def test_bench_json_reports_backends_and_host(capsys):
     assert main(["--n", "6", "--l", "8", "--repeat", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["stage"] == {"n": 6, "l": 8, "filtered": False, "candidates": 35}
-    assert set(doc["backends"]) == set(available_backends())
-    python = doc["backends"]["python"]
-    assert python["candidates_per_s"] == pytest.approx(35 / python["seconds"])
+    assert doc["backend"] == BACKEND
+    assert doc["seconds"] > 0
+    assert "candidates_per_s" not in doc
     assert doc["host"]["nproc"] >= 1
 
 
-def test_bench_skips_python_on_large_stages(capsys):
-    # 5,311,735 candidates: minutes in pure Python, well under a second compiled
-    assert main(["--n", "12", "--l", "27", "--repeat", "1", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert "python" not in doc["backends"]
-
-
-def test_bench_search_times_both_worker_counts(capsys):
+def test_bench_search_times_one_run(capsys):
     assert main(["--search", "7", "--repeat", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc["workers"]) == {"1", "2"}
-    for run in doc["workers"].values():
-        assert run["seconds"] > 0
-        assert (run["verdict"], run["optimal_aperture"]) == ("optimal", 9)
+    assert doc["search"] == {"n": 7}
+    assert doc["backend"] == BACKEND
+    assert doc["seconds"] > 0
+    assert (doc["verdict"], doc["optimal_aperture"]) == ("optimal", 9)

@@ -60,7 +60,7 @@ class TestSearch:
         assert run(capsys, "search", "--n", "12", "--budget", "5")[0] == 3
         assert run(capsys, "search", "--n", "12", "--tight-bounds")[0] == 3
         _, out, _ = run(capsys, "search", "--n", "12", "--l-limit", "14", "--format", "json")
-        assert list(json.loads(out)["inputs"]) == ["n", "l_start", "l_limit", "filters", "workers"]
+        assert list(json.loads(out)["inputs"]) == ["n", "l_start", "l_limit", "filters"]
 
     def test_unwritable_checkpoint_is_an_error_not_a_crash(self, capsys, tmp_path):
         # a capped run always writes its checkpoint, here into a missing directory
@@ -86,6 +86,11 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--n", "7", "--workers", "4")
         assert code == 0
         assert "aperture: 9" in out
+
+    def test_workers_below_one_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "7", "--workers", "0")
+        assert (code, out) == (3, "")
+        assert err == "usage error: workers must be >= 1\n"
 
     def test_json_round_trip_rendering(self, capsys):
         code, json_out, _ = run(capsys, "search", "--n", "7", "--format", "json")

@@ -125,12 +125,12 @@ class TestEssentialAndFragility:
 
     def test_report_serialization(self):
         rep = analyze(RMRA7)
-        d = rep.to_json_dict()
-        assert d["positions"] == [0, 1, 2, 5, 6, 8, 9]
-        assert d["essential"] == [0, 9]
-        assert d["fragility"] == "2/7"
-        assert {"failed": 0, "holes": [9]} in d["failures"]
-        assert len(d["failures"]) == 7
+        assert rep.positions == (0, 1, 2, 5, 6, 8, 9)
+        assert rep.essential == (0, 9)
+        assert str(rep.fragility) == "2/7"
+        sensor_0 = next(r for r in rep.per_sensor if r.failed_position == 0)
+        assert sensor_0.holes_in_original_span == (9,)
+        assert len(rep.per_sensor) == 7
 
 
 class TestSurvivorWeights:

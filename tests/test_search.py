@@ -184,8 +184,6 @@ class TestLosesSearch:
         with pytest.raises(ValueError):
             SearchConfig(n=5)
         with pytest.raises(ValueError):
-            SearchConfig(n=6, workers=0)
-        with pytest.raises(ValueError):
             SearchConfig(n=6, l_start=5)
         with pytest.raises(ValueError):
             SearchConfig(n=6, l_start=9)  # beyond the pair-budget bound
@@ -193,14 +191,8 @@ class TestLosesSearch:
             SearchConfig(n=6, l_start=7, l_limit=6)
 
 
-class TestParallel:
-    @pytest.mark.parametrize("n", [6, 7, 8, 11])
-    def test_parallel_deterministic_equals_serial(self, n):
-        serial = loses_search(SearchConfig(n=n, workers=1))
-        parallel = loses_search(SearchConfig(n=n, workers=8))
-        assert parallel.to_dict(include_timing=False) == serial.to_dict(include_timing=False)
-
-    def test_parallel_progress_reports_chunk_frontiers(self, monkeypatch):
+class TestChunkLoop:
+    def test_progress_reports_chunk_frontiers(self, monkeypatch):
         chunks, threads = [], set()
         scan_chunk = search._scan_chunk
 
@@ -210,7 +202,7 @@ class TestParallel:
             return scan_chunk(n, l, filtered, lo, hi)
 
         monkeypatch.setattr(search, "_scan_chunk", recording)
-        cfg = SearchConfig(n=11, prune_filters=False, workers=2)
+        cfg = SearchConfig(n=11, prune_filters=False)
         frontiers = []
         res = run_stage(11, 23, cfg, on_progress=frontiers.append)
         assert res.outcome is StageOutcome.EXHAUSTED
@@ -222,7 +214,7 @@ class TestParallel:
         assert frontiers == [hi for _, hi in chunks]
         assert all(a < b for a, b in zip(frontiers, frontiers[1:]))
         assert frontiers[-1] == size
-        assert threads == {threading.get_ident()}  # workers=2 scans on the calling thread
+        assert threads == {threading.get_ident()}  # every chunk runs on the calling thread
 
     def test_chunks_follow_measured_call_time(self, monkeypatch):
         # doubled after a call under 50 ms, halved after one over 250 ms
@@ -305,9 +297,8 @@ class TestCheckpoints:
         with pytest.raises(CorruptCheckpoint):
             loses_search(other)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_resume_mid_stage_matches_uninterrupted(self, tmp_path, workers):
-        cfg = SearchConfig(n=11, prune_filters=False, workers=workers)
+    def test_resume_mid_stage_matches_uninterrupted(self, tmp_path):
+        cfg = SearchConfig(n=11, prune_filters=False)
         uninterrupted = loses_search(cfg)
         # checkpoint taken 100 candidates into stage l=22, well before that
         # stage's first valid array (rank 5499)
@@ -317,9 +308,7 @@ class TestCheckpoints:
         checkpoint_save(
             path, n=11, l=22, next_index=100, stages=prefix, filters=cfg.filter_signature()
         )
-        resumed = loses_search(
-            SearchConfig(n=11, prune_filters=False, workers=workers, checkpoint_path=path)
-        )
+        resumed = loses_search(SearchConfig(n=11, prune_filters=False, checkpoint_path=path))
         assert resumed.to_dict(include_timing=False) == uninterrupted.to_dict(
             include_timing=False
         )
