@@ -1,12 +1,14 @@
 /* Compiled stage engine behind rmra.kernel.scan.
  *
- * first_valid(n, l, first, last, filtered=False, mirror_prune=False) returns
- * the positions of the lexicographically first valid array of stage (n, l)
- * whose interior combination lies in the window [first, last] (0-based
- * combinations, as rmra._kernel_py.scan takes them), or None. With
- * mirror_prune, arrays whose mirror comes first are skipped. rmra.kernel
- * ranks the window and the find to give rmra._kernel_py.scan's contract.
- * 4 <= n <= 36 and n <= l <= 255.
+ * scan(n, l, start, count, filtered=False, mirror_prune=False) keeps the
+ * contract of rmra._kernel_py.scan: the window is the count candidates of
+ * stage (n, l) from lexicographic rank start onwards (cut at the stage end),
+ * and it returns (examined, offset, positions) for the first valid array in
+ * the window, or (examined, -1, None). With mirror_prune, arrays whose mirror
+ * comes first are skipped. The engine unranks the window's ends into sets,
+ * searches between them without visiting the candidates before the find,
+ * and ranks the find, so examined is the find's offset plus one, or the
+ * window size. 4 <= n <= 36 and n <= l <= 255.
  *
  * Ends-inward branch-and-bound, the exhaustive method for sparse rulers and
  * minimum-redundancy arrays (Leech, 1956): grid points are decided in the
@@ -28,10 +30,15 @@
  * search (Dollas, Rankin & McCracken, 1998). Adding a sensor x costs a few
  * word operations: its lags to the sensors above it are S >> x, and its lags
  * to those below are R >> (W-1-x), where R holds the same sensors
- * bit-reversed in a W-bit set. Bitsets are one 64-bit word for l <= 63 and
- * four words for l <= 255; search1 and search4 pin the width to a constant
- * so the compiler specialises each. Everything the search touches lives on
- * the calling thread's stack, so threads may run it at once.
+ * bit-reversed in a W-bit set. Bitsets are one 64-bit word for l <= 63, two
+ * for l <= 127 and four for l <= 255; search1, search2 and search4 pin the
+ * width to a constant so the compiler specialises each. Everything the
+ * search touches lives on the calling thread's stack, so threads may run it
+ * at once.
+ *
+ * Ranks reach C(254, 34) < 2^141, so they are three 64-bit words. They come
+ * from a table of binomials filled row by row, while the caller holds the
+ * GIL, up to the largest stage size asked for so far.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -202,51 +209,145 @@ INLINE void node(search *s, int d, int m, int nw, void (*next)(search *, int, in
 }
 
 static void search1(search *s, int d, int m) { node(s, d, m, 1, search1); }
+static void search2(search *s, int d, int m) { node(s, d, m, 2, search2); }
 static void search4(search *s, int d, int m) { node(s, d, m, MAX_W, search4); }
 
-/* Set the bits of interior combination `seq` (k values below m, strictly
- * increasing, counted from grid point base) into set. */
-static int parse_combo(PyObject *obj, int k, int m, int base, word *set)
+/* A rank as three 64-bit words, least significant first. */
+#define RW 3
+typedef struct {
+    word w[RW];
+} rank;
+
+INLINE int rank_lt(const rank *a, const rank *b)
 {
-    PyObject *seq = PySequence_Fast(obj, "a combination must be a sequence");
-    if (seq == NULL)
-        return -1;
-    if (PySequence_Fast_GET_SIZE(seq) != k) {
-        Py_DECREF(seq);
-        PyErr_Format(PyExc_ValueError, "expected a %d-element interior combination", k);
-        return -1;
-    }
-    long prev = -1;
-    for (int i = 0; i < k; i++) {
-        int overflow;
-        long v = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
-        if (v == -1 && PyErr_Occurred()) {
-            Py_DECREF(seq);
-            return -1;
-        }
-        if (overflow || !(prev < v && v < m)) {
-            Py_DECREF(seq);
-            PyErr_SetString(PyExc_ValueError,
-                            "interior combination not strictly increasing in range");
-            return -1;
-        }
-        set[(v + base) >> 6] |= (word)1 << ((v + base) & 63);
-        prev = v;
-    }
-    Py_DECREF(seq);
+    for (int i = RW - 1; i >= 0; i--)
+        if (a->w[i] != b->w[i])
+            return a->w[i] < b->w[i];
     return 0;
 }
 
-static PyObject *first_valid(PyObject *self, PyObject *args, PyObject *kwargs)
+INLINE void rank_add(rank *a, const rank *b)
 {
-    static char *kwlist[] = {"n", "l", "first", "last", "filtered", "mirror_prune", NULL};
+    word carry = 0;
+    for (int i = 0; i < RW; i++) {
+        word t = a->w[i] + carry;
+        carry = (t < carry) + __builtin_add_overflow(t, b->w[i], &a->w[i]);
+    }
+}
+
+INLINE void rank_sub(rank *a, const rank *b)
+{
+    word borrow = 0;
+    for (int i = 0; i < RW; i++) {
+        word t = a->w[i] - borrow, under = a->w[i] < borrow;
+        borrow = under + __builtin_sub_overflow(t, b->w[i], &a->w[i]);
+    }
+}
+
+/* binom[i][j] = C(i, j) for the rows i < binom_rows; a stage chooses k <=
+ * MAX_N - 2 of m <= MAX_L - 1 points. Rows are filled only with the GIL
+ * held, and only read below binom_rows, so threads may search at once. */
+static rank binom[MAX_L][MAX_N - 1];
+static int binom_rows;
+
+static void fill_binom(int rows)
+{
+    for (; binom_rows < rows; binom_rows++) {
+        int i = binom_rows;
+        binom[i][0].w[0] = 1;
+        for (int j = 1; i > 0 && j < MAX_N - 1; j++) {
+            binom[i][j] = binom[i - 1][j - 1];
+            rank_add(&binom[i][j], &binom[i - 1][j]);
+        }
+    }
+}
+
+/* Set the bits of the r-th k-subset of 0..m-1, in lexicographic order,
+ * into set, each counted from grid point base. */
+static void unrank(rank r, int m, int k, int base, word *set)
+{
+    for (int i = 0, v = 0; i < k; i++, v++) {
+        /* r < C(m - v, k - i): the subsets left from v onwards */
+        while (!rank_lt(&r, &binom[m - 1 - v][k - 1 - i])) {
+            rank_sub(&r, &binom[m - 1 - v][k - 1 - i]);
+            v++;
+        }
+        set[(v + base) >> 6] |= (word)1 << ((v + base) & 63);
+    }
+}
+
+/* Lexicographic rank of the k-subset c_0 < ... < c_{k-1} of 0..m-1 held in
+ * set (counted from base): C(m,k) - 1 - sum C(m-1-c_i, k-i), since the
+ * complements m-1-c_i in reverse order have that sum as their colex rank. */
+static rank rank_of(const word *set, int m, int k, int base)
+{
+    rank r = binom[m][k], one = {{1}};
+    rank_sub(&r, &one);
+    for (int i = 0, c = 0; i < k; c++) {
+        int x = c + base;
+        if (set[x >> 6] >> (x & 63) & 1) {
+            rank_sub(&r, &binom[m - 1 - c][k - i]);
+            i++;
+        }
+    }
+    return r;
+}
+
+/* Store the int v in *r. Returns 0, 1 when v < 0 or v >= 2^192, or -1 with
+ * an exception set when v is not an int. */
+static int rank_from_long(PyObject *v, const char *what, rank *r)
+{
+    if (!PyLong_Check(v)) {
+        PyErr_Format(PyExc_TypeError, "%s must be an int, not %.100s", what, Py_TYPE(v)->tp_name);
+        return -1;
+    }
+    PyObject *shift = PyLong_FromLong(64);
+    if (shift == NULL)
+        return -1;
+    Py_INCREF(v);
+    for (int i = 0; i < RW - 1 && v != NULL; i++) {
+        r->w[i] = PyLong_AsUnsignedLongLongMask(v);
+        Py_SETREF(v, PyNumber_Rshift(v, shift));
+    }
+    Py_DECREF(shift);
+    if (v == NULL)
+        return -1;
+    r->w[RW - 1] = PyLong_AsUnsignedLongLong(v); /* v < 0 or too wide: OverflowError */
+    Py_DECREF(v);
+    if (!PyErr_Occurred())
+        return 0;
+    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+        return -1;
+    PyErr_Clear();
+    return 1;
+}
+
+static PyObject *rank_to_long(const rank *r)
+{
+    PyObject *shift = PyLong_FromLong(64);
+    PyObject *v = shift == NULL ? NULL : PyLong_FromUnsignedLongLong(r->w[RW - 1]);
+    for (int i = RW - 2; i >= 0 && v != NULL; i--) {
+        PyObject *low = PyLong_FromUnsignedLongLong(r->w[i]);
+        Py_SETREF(v, low == NULL ? NULL : PyNumber_Lshift(v, shift));
+        if (v != NULL)
+            Py_SETREF(v, PyNumber_Or(v, low));
+        Py_XDECREF(low);
+    }
+    Py_XDECREF(shift);
+    return v;
+}
+
+static PyObject *scan(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "l", "start", "count", "filtered", "mirror_prune", NULL};
     int n, l, filtered = 0, mirror = 0;
-    PyObject *first, *last;
+    PyObject *start_obj, *count_obj;
+    rank start, count, end;
     search s;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOO|pp:first_valid", kwlist, &n, &l,
-                                     &first, &last, &filtered, &mirror))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOO|pp:scan", kwlist, &n, &l, &start_obj,
+                                     &count_obj, &filtered, &mirror))
         return NULL;
     if (n < 4 || n > MAX_N)
         return PyErr_Format(PyExc_ValueError,
@@ -254,52 +355,95 @@ static PyObject *first_valid(PyObject *self, PyObject *args, PyObject *kwargs)
     if (l < n || l > MAX_L)
         return PyErr_Format(PyExc_ValueError,
                             "aperture %d outside supported range %d..%d", l, n, MAX_L);
-    int nw = l <= 63 ? 1 : MAX_W, base = filtered ? 2 : 1; /* fixed sensors at each end */
+    int base = filtered ? 2 : 1; /* fixed sensors at each end */
+    int k = n - 2 * base, m = l + 1 - 2 * base; /* choose k of the points base..l-base */
+    fill_binom(m + 1);
+    const rank *size = &binom[m][k];
+    int bad = rank_from_long(start_obj, "start", &start);
+    if (bad < 0)
+        return NULL;
+    if (bad || !rank_lt(&start, size))
+        return PyErr_Format(PyExc_ValueError, "start rank outside the stage's %d-of-%d "
+                            "enumeration", k, m);
+    bad = rank_from_long(count_obj, "count", &count);
+    if (bad < 0)
+        return NULL;
+    PyObject *zero = PyLong_FromLong(0);
+    int positive = zero == NULL ? -1 : PyObject_RichCompareBool(count_obj, zero, Py_GT);
+    Py_XDECREF(zero);
+    if (positive < 0)
+        return NULL;
+    if (!positive)
+        return Py_BuildValue("iiO", 0, -1, Py_None);
+    /* end = min(start + count, size); a count of 2^192 or more reaches the end */
+    rank left = *size;
+    rank_sub(&left, &start);
+    end = *size;
+    if (!bad && rank_lt(&count, &left)) {
+        end = start;
+        rank_add(&end, &count);
+    }
+
+    int nw = l <= 63 ? 1 : l <= 127 ? 2 : MAX_W;
     memset(&s, 0, sizeof s);
     s.n = n;
     s.l = l;
     s.base = base;
     s.mirror = mirror;
     s.slack = n * (n - 1) / 2 - 1 - 2 * (l - 1);
-    s.ndec = l + 1 - 2 * base; /* the grid points base..l-base */
+    s.ndec = m; /* the grid points base..l-base */
     for (int i = 0; i < base; i++) {
         add(&s.st[2 * i + 1], &s.st[2 * i], i, nw);
         add(&s.st[2 * i + 2], &s.st[2 * i + 1], l - i, nw);
     }
     memcpy(s.lo, s.st[2 * base].s, sizeof s.lo);
     memcpy(s.hi, s.lo, sizeof s.hi);
-    if (parse_combo(first, n - 2 * base, l + 1 - 2 * base, base, s.lo) < 0
-        || parse_combo(last, n - 2 * base, l + 1 - 2 * base, base, s.hi) < 0)
-        return NULL;
+    rank last = end, one = {{1}};
+    rank_sub(&last, &one);
+    unrank(start, m, k, base, s.lo);
+    unrank(last, m, k, base, s.hi);
 
     Py_BEGIN_ALLOW_THREADS
     if (waste(&s.st[2 * base], 2 * base, nw) <= s.slack)
-        (nw == 1 ? search1 : search4)(&s, 0, 2 * base);
+        (nw == 1 ? search1 : nw == 2 ? search2 : search4)(&s, 0, 2 * base);
     Py_END_ALLOW_THREADS
 
-    if (!s.found)
-        Py_RETURN_NONE;
-    PyObject *positions = PyList_New(n);
-    if (positions == NULL)
+    if (!s.found) {
+        rank_sub(&end, &start);
+        PyObject *examined = rank_to_long(&end);
+        return examined == NULL ? NULL : Py_BuildValue("NiO", examined, -1, Py_None);
+    }
+    rank offset = rank_of(s.hi, m, k, base);
+    rank_sub(&offset, &start);
+    PyObject *positions = PyList_New(n), *off = rank_to_long(&offset);
+    rank_add(&offset, &one);
+    PyObject *examined = rank_to_long(&offset);
+    if (positions == NULL || off == NULL || examined == NULL) {
+        Py_XDECREF(positions);
+        Py_XDECREF(off);
+        Py_XDECREF(examined);
         return NULL;
+    }
     for (int x = 0, i = 0; x <= l; x++) {
         if (!(s.hi[x >> 6] >> (x & 63) & 1))
             continue;
         PyObject *v = PyLong_FromLong(x);
         if (v == NULL) {
             Py_DECREF(positions);
+            Py_DECREF(off);
+            Py_DECREF(examined);
             return NULL;
         }
         PyList_SET_ITEM(positions, i++, v);
     }
-    return positions;
+    return Py_BuildValue("NNN", examined, off, positions);
 }
 
 static PyMethodDef methods[] = {
-    {"first_valid", (PyCFunction)(void (*)(void))first_valid, METH_VARARGS | METH_KEYWORDS,
-     "first_valid(n, l, first, last, filtered=False, mirror_prune=False)\n--\n\n"
-     "Positions of the lexicographically first valid array whose interior\n"
-     "combination lies in [first, last], or None."},
+    {"scan", (PyCFunction)(void (*)(void))scan, METH_VARARGS | METH_KEYWORDS,
+     "scan(n, l, start, count, filtered=False, mirror_prune=False)\n--\n\n"
+     "(examined, offset, positions) of the first valid array among the count\n"
+     "candidates from lexicographic rank start, as rmra._kernel_py.scan."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -11,10 +11,15 @@ two generating pairs share a sensor, i.e. when the three positions form an
 arithmetic chain a, a+m, a+2m — detected as ``P & (P >> m) & (P >> 2m)``.
 Lags of weight three or more survive any single failure because one sensor
 can sit in at most two pairs of the same lag.
+
+The module also holds the lexicographic rank arithmetic, ``_rank_lex`` and
+``_unrank_lex``: the reference the compiled engine's own ranks are checked
+against, and what :mod:`rmra.search` ranks candidates with.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 MAX_N = 36
@@ -32,33 +37,63 @@ def _setup(n: int, l: int, filtered: bool) -> tuple[int, int, int]:
     return n - 2, 1, l - 1
 
 
+def _unrank_lex(index: int, m: int, k: int) -> list[int]:
+    """index-th k-subset of {0..m-1} in lexicographic order."""
+    combo = []
+    v = 0
+    r = index
+    for i in range(k):
+        while True:
+            c = math.comb(m - 1 - v, k - i - 1)
+            if r < c:
+                break
+            r -= c
+            v += 1
+        combo.append(v)
+        v += 1
+    return combo
+
+
+def _rank_lex(combo: Sequence[int], m: int, k: int) -> int:
+    """Lexicographic rank of a k-subset c_0 < ... < c_{k-1} of {0..m-1}.
+
+    The complements m-1-c_i, in reverse order, have colex rank
+    sum C(m-1-c_i, k-i); lexicographic rank is C(m, k) - 1 less that.
+    """
+    r = math.comb(m, k) - 1
+    for i, c in enumerate(combo):
+        r -= math.comb(m - 1 - c, k - i)
+    return r
+
+
 def scan(
     n: int,
     l: int,
-    first: Sequence[int],
+    start: int,
     count: int,
     filtered: bool = False,
     mirror_prune: bool = False,
 ) -> tuple[int, int, list[int] | None]:
     """Scan up to ``count`` consecutive candidates in lexicographic order.
 
-    ``first`` is the 0-based interior combination (n-2 values over the grid
-    points strictly between the endpoints; n-4 values when ``filtered`` fixes
-    grid points 1 and l-1 as well). Returns ``(examined, found_offset,
-    positions)`` where ``found_offset`` is -1 if no candidate in the range is
-    valid; a mirror-pruned candidate counts as examined but never as found.
+    The candidates of stage (n, l) are its interior combinations in
+    lexicographic order: n-2 grid points strictly between the endpoints, or
+    n-4 when ``filtered`` fixes grid points 1 and l-1 as well. The window
+    starts at rank ``start`` (``0 <= start <`` the stage size) and is cut at
+    the stage end. Returns ``(examined, found_offset, positions)`` where
+    ``found_offset`` is -1 if no candidate in the range is valid; a
+    mirror-pruned candidate counts as examined but never as found.
     """
     k, base, m = _setup(n, l, filtered)
-    c = list(first)
-    if len(c) != k:
-        raise ValueError(f"expected a {k}-element interior combination")
-    prev = -1
-    for v in c:
-        if not prev < v < m:
-            raise ValueError("interior combination not strictly increasing in range")
-        prev = v
+    if not isinstance(start, int):
+        raise TypeError(f"start must be an int, not {type(start).__name__}")
+    if not 0 <= start < math.comb(m, k):
+        raise ValueError(f"start rank outside the stage's {k}-of-{m} enumeration")
+    if not isinstance(count, int):
+        raise TypeError(f"count must be an int, not {type(count).__name__}")
     if count <= 0:
         return 0, -1, None
+    c = _unrank_lex(start, m, k)
 
     head = (0, 1) if filtered else (0,)
     tail = (l - 1, l) if filtered else (l,)

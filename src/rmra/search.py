@@ -218,20 +218,13 @@ def rank_candidate(n: int, l: int, arr: SensorArray | Sequence[int]) -> int:
     return _rank_lex([p - 1 for p in pos[1:-1]], l - 1, n - 2)
 
 
-def _unrank_active(n: int, l: int, filtered: bool, index: int) -> list[int]:
-    """0-based interior combination at `index` of the active enumeration."""
-    k, m, _ = kernel.stage_shape(n, l, filtered)
-    return _unrank_lex(index, m, k)
-
-
 def _scan_chunk(
     n: int, l: int, filtered: bool, lo: int, hi: int
 ) -> tuple[tuple[int, list[int]] | None, float]:
     """(found, seconds): found is (rank, positions) of the first valid
     candidate in [lo, hi), or None; seconds is the call's wall time."""
     t0 = time.perf_counter()
-    first = _unrank_active(n, l, filtered, lo)
-    _, offset, positions = kernel.scan(n, l, first, hi - lo, filtered, True)
+    _, offset, positions = kernel.scan(n, l, lo, hi - lo, filtered, True)
     found = None if offset < 0 else (lo + offset, positions)
     return found, time.perf_counter() - t0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -14,11 +15,10 @@ import rmra
 from rmra import _kernel_py, kernel
 from rmra.catalog import all_entries
 from rmra.coarray import SensorArray
-from rmra.kernel import BACKEND, _rank_lex, available_backends
+from rmra.kernel import BACKEND, _rank_lex, _unrank_lex, available_backends
 from rmra.robustness import rmra_check
 from rmra.search import (
     SearchConfig,
-    _unrank_active,
     aperture_upper_bound,
     candidate_count,
     loses_search,
@@ -32,13 +32,13 @@ needs_c = pytest.mark.skipif(not HAS_C, reason="compiled kernel not built")
 
 
 def full_scan(scan, n, l, filtered, mirror):
-    size = candidate_count(n, l, filtered)
-    first = _unrank_active(n, l, filtered, 0)
-    return scan(n, l, first, size, filtered, mirror)
+    return scan(n, l, 0, candidate_count(n, l, filtered), filtered, mirror)
 
 
 def test_backend_selected():
     assert BACKEND in BACKENDS
+    if HAS_C:  # the search calls the engine with nothing in between
+        assert kernel.scan is kernel._kernel_c.scan
 
 
 def test_falls_back_to_python_when_the_extension_is_missing():
@@ -113,10 +113,9 @@ def test_backends_agree_on_windows_at_the_first_valid_array(n, l, filtered):
         windows += [(edge, count) for count in (1, 2, 500)]  # starting at edge
         windows += [(edge - count + 1, count) for count in (1, 2, 500)]  # ending at edge
     for start, count in windows:
-        first = _unrank_active(n, l, filtered, start)
         for mirror in (False, True):
             out = {
-                name: scan(n, l, list(first), count, filtered, mirror)
+                name: scan(n, l, start, count, filtered, mirror)
                 for name, scan in BACKENDS.items()
             }
             assert out["python"] == out["c"], (start, count, mirror)
@@ -134,10 +133,9 @@ def test_backends_agree_on_random_ranges():
         size = candidate_count(n, l, filtered)
         start = rng.randrange(size)
         count = rng.randint(1, size - start)
-        first = _unrank_active(n, l, filtered, start)
         mirror = rng.random() < 0.5
         out = {
-            name: scan(n, l, list(first), count, filtered, mirror)
+            name: scan(n, l, start, count, filtered, mirror)
             for name, scan in BACKENDS.items()
         }
         assert out["python"] == out["c"]
@@ -145,37 +143,86 @@ def test_backends_agree_on_random_ranges():
 
 @needs_c
 def test_backends_agree_across_the_word_boundary():
-    # Apertures 60-90 put the compiled kernel on both sides of its switch
-    # from one-word (l <= 63) to four-word (l <= 255) bitsets. Random windows
-    # there hold no valid array, so the catalog arrays at apertures 61-66
-    # (near-optimal, 19 and 20 sensors) add windows that end in a find, and
-    # windows that end in their mirrors.
+    # Apertures 60-90 and 120-135 put the compiled kernel on both sides of
+    # its switches from one-word (l <= 63) to two-word (l <= 127) and from
+    # two-word to four-word (l <= 255) bitsets. Random windows there hold no
+    # valid array, so the catalog arrays at apertures 61-66 (near-optimal, 19
+    # and 20 sensors) add two-word windows that end in a find, and windows
+    # that end in their mirrors.
     rng = random.Random(6364)
     windows = []
-    for _ in range(120):
-        n = rng.randint(6, 8)
-        l = rng.randint(60, 90)
-        filtered = rng.random() < 0.5
-        start = rng.randrange(candidate_count(n, l, filtered))
-        windows.append((n, l, filtered, start, rng.randint(1, 3000)))
+    for lo, hi in ((60, 90), (120, 135)):
+        for _ in range(120):
+            n = rng.randint(6, 8)
+            l = rng.randint(lo, hi)
+            filtered = rng.random() < 0.5
+            start = rng.randrange(candidate_count(n, l, filtered))
+            windows.append((n, l, filtered, start, rng.randint(1, 3000)))
     for entry in all_entries():
         if entry.family != "RMRA" or entry.l < 60:
             continue
         n, l = entry.n, entry.l
         for arr in (entry.positions, tuple(l - p for p in reversed(entry.positions))):
             windows.append((n, l, False, max(0, rank_candidate(n, l, arr) - 700), 1000))
+    assert {l <= 63 for _, l, *_ in windows} == {True, False}
+    assert {l <= 127 for _, l, *_ in windows} == {True, False}
     finds = set()
     for n, l, filtered, start, count in windows:
-        first = _unrank_active(n, l, filtered, start)
         for mirror in (False, True):
             out = {
-                name: scan(n, l, list(first), count, filtered, mirror)
+                name: scan(n, l, start, count, filtered, mirror)
                 for name, scan in BACKENDS.items()
             }
             assert out["python"] == out["c"], (n, l, filtered, start, count, mirror)
             if l > 63 and out["c"][1] >= 0:
                 finds.add(mirror)
-    assert finds == {False, True}  # four-word finds, with and without pruning
+    assert finds == {False, True}  # two-word finds, with and without pruning
+
+
+# A valid array past 64-bit ranks on the two-word path: six interior sensors
+# added to the 21-sensor, aperture-79 array, then mirrored.
+N27 = (0, 1, 4, 5, 8, 9, 16, 17, 19, 23, 24, 25, 27, 29, 31, 32, 41, 45, 47,
+       64, 65, 66, 67, 76, 77, 78, 79)  # fmt: skip
+# The first valid array of stage 36/128 (four-word), at a 34-bit rank; its
+# mirror lies at a 101-bit rank.
+N36 = (*range(28), 39, 57, 68, 80, 99, 108, 127, 128)
+
+
+@needs_c
+@pytest.mark.parametrize(
+    "positions,bits,canonical",
+    [(N27, 65, False), (N36, 34, True), (tuple(128 - p for p in reversed(N36)), 101, False)],
+    ids=["27-79", "36-128", "36-128-mirror"],
+)
+def test_backends_agree_on_finds_at_wide_ranks(positions, bits, canonical):
+    # The engine unranks the window and ranks the find in 192-bit words; a
+    # carry or borrow lost past the low word would move the find. Mirror
+    # pruning skips an array whose mirror comes first.
+    n, l = len(positions), positions[-1]
+    assert rmra_check(SensorArray(positions), n, l).overall
+    r = rank_candidate(n, l, positions)
+    assert r.bit_length() == bits
+    for start, count in ((r - 200, 400), (r, 1)):
+        out = {name: scan(n, l, start, count, False, False) for name, scan in BACKENDS.items()}
+        assert out["python"] == out["c"] == (r - start + 1, r - start, list(positions))
+    pruned = {name: scan(n, l, r - 200, 400, False, True) for name, scan in BACKENDS.items()}
+    assert pruned["python"] == pruned["c"]
+    assert (pruned["c"][1] == 200) == canonical
+
+
+@needs_c
+@pytest.mark.parametrize("filtered", [False, True])
+def test_backends_agree_on_the_141_bit_stage_end(filtered):
+    # Stage 36/253 has C(252, 34) unfiltered candidates, a 141-bit count
+    # (C(250, 32) filtered).
+    # Windows that end at the stage end, or would run past it, clamp
+    # `examined` to what is left. Such windows are cut at the first decisions.
+    n, l = 36, 253
+    size = candidate_count(n, l, filtered)
+    assert size.bit_length() == (135 if filtered else 141)
+    for start, count in ((size - 500, 500), (size - 500, 10**6), (size - 1, 2**200)):
+        out = {name: scan(n, l, start, count, filtered, True) for name, scan in BACKENDS.items()}
+        assert out["python"] == out["c"] == (size - start, -1, None), (start, count)
 
 
 @needs_c
@@ -190,11 +237,10 @@ def test_backends_agree_on_windows_past_the_stage_end():
         filtered = rng.random() < 0.5
         size = candidate_count(n, l, filtered)
         start = rng.randrange(max(0, size - 2000), size)
-        first = _unrank_active(n, l, filtered, start)
         count = size - start + rng.randint(1, 10**6)
         mirror = rng.random() < 0.5
         out = {
-            name: scan(n, l, list(first), count, filtered, mirror)
+            name: scan(n, l, start, count, filtered, mirror)
             for name, scan in BACKENDS.items()
         }
         assert out["python"] == out["c"], (n, l, filtered, start, mirror)
@@ -222,10 +268,9 @@ def test_single_candidate_matches_reference_checker(name):
         l = rng.randint(n, n + 8)
         size = candidate_count(n, l, False)
         idx = rng.randrange(size)
-        first = _unrank_active(n, l, False, idx)
-        examined, offset, positions = scan(n, l, first, 1, False, False)
+        examined, offset, positions = scan(n, l, idx, 1, False, False)
         assert examined == 1
-        arr = SensorArray((0, *(v + 1 for v in first), l))
+        arr = SensorArray((0, *(v + 1 for v in _unrank_lex(idx, l - 1, n - 2)), l))
         expected = rmra_check(arr, n, l).overall
         assert (offset == 0) == expected
         if expected:
@@ -250,26 +295,78 @@ def test_mirror_prune_counts_skipped_candidates(name):
     assert outcomes == {False, True}  # both found and exhausted stages covered
 
 
+@needs_c
+def test_engine_counts_a_138_bit_window_exactly():
+    # From rank C(251, 33) on, no candidate of stage 36/253 holds grid point
+    # 1, so lag 252 has one pair and every node is cut at the first two
+    # decisions: the engine exhausts C(251, 34) candidates at once, and
+    # `examined` needs all three words of a rank. Only the count can be
+    # checked; the pure-Python scanner would visit each candidate.
+    start = math.comb(251, 33)
+    assert BACKENDS["c"](36, 253, start, 2**200, False, True) == (math.comb(251, 34), -1, None)
+    assert BACKENDS["c"](36, 253, start, 2**137 + 5, False, True) == (2**137 + 5, -1, None)
+
+
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_guards(name):
     scan = BACKENDS[name]
     with pytest.raises(ValueError):
-        scan(3, 10, [1], 1, False, False)  # n too small
+        scan(3, 10, 0, 1, False, False)  # n too small
     with pytest.raises(ValueError):
-        scan(6, 5, [0, 1, 2, 3], 1, False, False)  # l < n
+        scan(6, 5, 0, 1, False, False)  # l < n
     with pytest.raises(ValueError):
-        scan(6, 300, [0, 1, 2, 3], 1, False, False)  # aperture beyond buffers
-    with pytest.raises(ValueError):
-        scan(6, 9, [0, 1, 2], 1, False, False)  # wrong combo length
-    with pytest.raises(ValueError):
-        scan(6, 9, [3, 2, 1, 0], 1, False, False)  # not increasing
+        scan(6, 300, 0, 1, False, False)  # aperture beyond buffers
 
-    assert scan(6, 9, [0, 1, 2, 3], 0, False, False) == (0, -1, None)
+    assert scan(6, 9, 0, 0, False, False) == (0, -1, None)
+
+
+@needs_c
+@pytest.mark.parametrize("filtered", [False, True])
+def test_backends_reject_the_same_bad_windows(filtered):
+    n, l = 6, 9
+    size = candidate_count(n, l, filtered)
+    bad = [
+        (-1, 1, ValueError),
+        (size, 1, ValueError),  # start past the last rank
+        (size + 1, 0, ValueError),  # checked before the count
+        (-(2**70), 1, ValueError),
+        (2**200, 1, ValueError),
+        (1.0, 1, TypeError),
+        ("0", 1, TypeError),
+        ([0, 1, 2, 3], 1, TypeError),  # the old combination argument
+        (None, 1, TypeError),
+        (0, 1.0, TypeError),
+        (0, None, TypeError),
+    ]
+    for start, count, error in bad:
+        for scan in BACKENDS.values():
+            with pytest.raises(error):
+                scan(n, l, start, count, filtered, False)
+    for count in (0, -1, -(2**70)):
+        for start in (0, size - 1):
+            out = {name: scan(n, l, start, count, filtered, True) for name, scan in BACKENDS.items()}
+            assert out["python"] == out["c"] == (0, -1, None)
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_count_beyond_64_bits_scans_to_the_stage_end(name):
     scan = BACKENDS[name]
     size = candidate_count(6, 9, False)
-    assert scan(6, 9, [0, 1, 2, 3], 2**70, False, False) == (size, -1, None)
-    assert scan(6, 9, [0, 1, 2, 3], -(2**70), False, False) == (0, -1, None)
+    assert scan(6, 9, 0, 2**70, False, False) == (size, -1, None)
+    assert scan(6, 9, 0, 2**300, False, False) == (size, -1, None)
+    assert scan(6, 9, 0, -(2**70), False, False) == (0, -1, None)
+
+
+def test_rank_lex_round_trips_past_141_bits():
+    # _rank_lex sums k binomials; _unrank_lex walks the points one by one.
+    rng = random.Random(141)
+    shapes = [(252, 34), (254, 34), (250, 32), (76, 23), (10, 0), (10, 10), (1, 1)]
+    shapes += [(m, rng.randint(0, min(m, 34))) for m in rng.sample(range(1, 255), 40)]
+    for m, k in shapes:
+        size = math.comb(m, k)
+        ranks = {0, size - 1, size // 2} | {rng.randrange(size) for _ in range(20)}
+        for r in ranks:
+            combo = _unrank_lex(r, m, k)
+            assert len(combo) == k and combo == sorted(set(combo)) and all(0 <= c < m for c in combo)
+            assert _rank_lex(combo, m, k) == r, (m, k, r)
+    assert math.comb(252, 34).bit_length() == 141
