@@ -9,6 +9,7 @@ no physical units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -151,10 +152,8 @@ def weight_table(arr: SensorArray) -> WeightTable:
     """Count, for every lag, the sensor pairs separated by that lag."""
     counts = [0] * (arr.aperture + 1)
     counts[0] = arr.n
-    pos = arr.positions
-    for i in range(arr.n - 1):
-        for j in range(i + 1, arr.n):
-            counts[pos[j] - pos[i]] += 1
+    for a, b in combinations(arr.positions, 2):
+        counts[b - a] += 1
     return WeightTable(arr.aperture, tuple(counts))
 
 

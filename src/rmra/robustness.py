@@ -9,6 +9,12 @@ sparsity).
 
 Holes are always measured against the ORIGINAL aperture: survivors are never
 re-anchored, so the loss of an endpoint shows up as a missing top lag.
+
+Every single-failure question is answered from lag bitmasks, the bitmap
+method of Golomb-ruler search (Dollas, Rankin & McCracken, IEEE Trans. IT
+44(1), 1998): one pass over the weight table gives the lags of weight 0, 1
+and 2, and a few big-int operations per sensor give the lags its failure
+loses (see :func:`_lost_lags`). No survivor table is built for a verdict.
 """
 
 from __future__ import annotations
@@ -126,14 +132,76 @@ def _survivor_counts(arr: SensorArray, w: WeightTable, failed: int) -> list[int]
     return counts
 
 
-def _failure_report(arr: SensorArray, w: WeightTable, failed: int) -> FailureReport:
-    """The damage report for ``failed``, read from ``arr``'s weight table ``w``."""
-    counts = _survivor_counts(arr, w, failed)
+def _lost_lags(arr: SensorArray, w: WeightTable) -> list[int]:
+    """Per sensor, in position order, the bitmask of lags its failure loses.
+
+    Bit ``m`` of a mask is set when lag ``m`` in ``1..L`` has no pair left
+    once that sensor fails (``L`` is the original aperture). At lag ``m`` a
+    sensor ``p`` belongs to at most two pairs, ``(p-m, p)`` and ``(p, p+m)``,
+    so one pass over ``w`` for the lags of weight exactly 0, 1 and 2 decides
+    every failure:
+
+    - a lag of weight 0 is a hole already and stays lost;
+    - a lag of weight 1 is lost when ``p`` is either end of its pair;
+    - a lag of weight 2 is lost only when ``p`` is the middle of the chain
+      ``p-m, p, p+m``;
+    - a lag of weight 3 or more is never lost.
+
+    With ``S`` the sensor bitset and ``R`` its reflection about the aperture,
+    ``S >> p`` has bit ``m`` set when ``p+m`` is a sensor and ``R >> (L-p)``
+    when ``p-m`` is one. Their bit 0 (``p`` itself) needs no clearing: the
+    weight masks never hold lag 0. Lag ``L`` is lost at an endpoint failure,
+    so holes stay measured against the original aperture.
+    """
+    l = arr.aperture
+    zero = one = two = 0
+    bit = 1  # counts[0] is the sensor count, at least 3: bit 0 stays clear
+    for c in w.counts:
+        if c < 3:
+            if c == 0:
+                zero |= bit
+            elif c == 1:
+                one |= bit
+            else:
+                two |= bit
+        bit <<= 1
+    s = r = 0
+    for p in arr.positions:
+        s |= 1 << p
+        r |= 1 << (l - p)
+    lost = []
+    for p in arr.positions:
+        above = s >> p
+        below = r >> (l - p)
+        lost.append(zero | (one & (above | below)) | (two & above & below))
+    return lost
+
+
+def _essential(arr: SensorArray, lost: list[int]) -> tuple[int, ...]:
+    """The sensors whose mask in ``lost`` (from :func:`_lost_lags`) is nonzero."""
+    return tuple([p for p, mask in zip(arr.positions, lost) if mask])
+
+
+def _tables(arr: SensorArray) -> tuple[WeightTable, list[int]]:
+    """``arr``'s weight table and :func:`_lost_lags`, for three or more sensors."""
+    if arr.n < 3:
+        raise ValueError("failure analysis needs at least three sensors")
+    w = weight_table(arr)
+    return w, _lost_lags(arr, w)
+
+
+def _failure_report(arr: SensorArray, lost: int, failed: int) -> FailureReport:
+    """The damage report for ``failed``, whose lost-lag mask is ``lost``."""
+    holes = []
+    while lost:
+        low = lost & -lost
+        holes.append(low.bit_length() - 1)
+        lost ^= low
     survivors = tuple([p for p in arr.positions if p != failed])
     return FailureReport(
         failed_position=failed,
         surviving_positions=survivors,
-        holes_in_original_span=tuple([m for m in range(1, arr.aperture + 1) if not counts[m]]),
+        holes_in_original_span=tuple(holes),
         span_after=survivors[-1] - survivors[0],
     )
 
@@ -146,33 +214,29 @@ def failure_report(arr: SensorArray, failed: int) -> FailureReport:
     """
     if failed not in arr.positions:
         raise NotASensor(f"{failed} is not a sensor of {list(arr.positions)}")
-    if arr.n < 3:
-        raise ValueError("failure analysis needs at least three sensors")
-    return _failure_report(arr, weight_table(arr), failed)
+    _, lost = _tables(arr)
+    return _failure_report(arr, lost[arr.positions.index(failed)], failed)
 
 
 def essential_sensors(arr: SensorArray) -> tuple[int, ...]:
     """Sensors whose individual failure leaves a hole in the original span."""
-    return analyze(arr).essential
+    return _essential(arr, _tables(arr)[1])
 
 
 def fragility(arr: SensorArray) -> Fragility:
     """Ratio of essential sensors to total sensors, unreduced."""
-    return analyze(arr).fragility
+    return Fragility(len(essential_sensors(arr)), arr.n)
 
 
 def analyze(arr: SensorArray) -> RobustnessReport:
     """Run the failure analysis for every sensor from one weight table."""
-    if arr.n < 3:
-        raise ValueError("failure analysis needs at least three sensors")
-    w = weight_table(arr)
-    reports = tuple([_failure_report(arr, w, s) for s in arr.positions])
-    essential = tuple([r.failed_position for r in reports if r.holes_in_original_span])
+    w, lost = _tables(arr)
+    essential = _essential(arr, lost)
     return RobustnessReport(
         positions=arr.positions,
         essential=essential,
         fragility=Fragility(len(essential), arr.n),
-        per_sensor=reports,
+        per_sensor=tuple([_failure_report(arr, m, p) for p, m in zip(arr.positions, lost)]),
         weights=w,
     )
 
@@ -213,7 +277,7 @@ def check_failure_robustness(arr: SensorArray) -> bool:
     Endpoint failures are exempt: the endpoints are essential by definition
     and allowed to be.
     """
-    return not any(r.holes_in_original_span for r in analyze(arr).per_sensor[1:-1])
+    return not any(_tables(arr)[1][1:-1])
 
 
 def rmra_check(
@@ -226,17 +290,19 @@ def rmra_check(
     ``l - 1``; ``hole_free`` demands every lag in ``1..l`` be present.
 
     ``report`` is ``analyze(arr)`` when the caller already has it; without it
-    the failure analysis is run here. Either way one weight table serves every
-    predicate.
+    the essential set is read off the lost-lag masks, and no failure report
+    is built. Either way one weight table serves every predicate.
     """
-    if report is None and arr.n >= 3:
-        report = analyze(arr)
-    w = weight_table(arr) if report is None else report.weights
+    if report is not None:
+        w, essential = report.weights, report.essential
+    else:
+        w = weight_table(arr)
+        essential = _essential(arr, _lost_lags(arr, w)) if arr.n >= 3 else None
     size_ok = arr.n == n
     in_reach = arr.aperture == l
-    hole_free = in_reach and all(w.counts[m] >= 1 for m in range(1, l + 1))
+    hole_free = in_reach and 0 not in w.counts[1:]
     doubly = in_reach and doubly_redundant_span(w) == l - 1
-    two_essential = report is not None and in_reach and report.essential == (0, l)
+    two_essential = in_reach and essential == (0, l)
     return ConstraintVerdict(
         size_ok=size_ok,
         hole_free=hole_free,

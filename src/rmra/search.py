@@ -295,7 +295,8 @@ def run_stage(
             candidates_examined=rank + 1,  # prefix count, identical on resume
             elapsed=elapsed,
             array=arr,
-            candidate_index=rank_candidate(n, l, arr),
+            # unfiltered, the active enumeration is the one candidate_index ranks
+            candidate_index=rank_candidate(n, l, arr) if filtered else rank,
         )
     return StageResult(
         l=l,

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from rmra import robustness
 from rmra.catalog import all_entries
 from rmra.cli import main
-from rmra.coarray import SensorArray, difference_coarray, mirror, weight_table
+from rmra.coarray import (
+    NoRepeatedRun,
+    SensorArray,
+    difference_coarray,
+    extend_repeated_spacing,
+    mirror,
+    weight_table,
+)
 from rmra.robustness import (
     ConstraintVerdict,
     NotASensor,
@@ -202,6 +209,107 @@ class TestTablesDerivedFromTheWeightTable:
             assert difference_coarray(arr).present == lags, arr
 
 
+def recount_holes(positions, failed) -> tuple[int, ...]:
+    """Lags in 1..L that no survivor pair spans, recounted pair by pair."""
+    survivors = [p for p in positions if p != failed]
+    present = {b - a for a, b in combinations(survivors, 2)}
+    return tuple([m for m in range(1, positions[-1] + 1) if m not in present])
+
+
+def recount_weight(positions, lag) -> int:
+    return sum(1 for a, b in combinations(positions, 2) if b - a == lag)
+
+
+class TestLostLagRules:
+    # Each rule behind the lost-lag masks, checked against recount_holes,
+    # which never calls robustness.
+
+    def test_chained_weight_two_lag_is_lost_only_at_its_middle(self):
+        arr = SensorArray((0, 3, 6, 7))  # lag 3: (0, 3) and (3, 6)
+        assert recount_weight(arr.positions, 3) == 2
+        for s in arr.positions:
+            lost = 3 in failure_report(arr, s).holes_in_original_span
+            assert lost == (s == 3) == (3 in recount_holes(arr.positions, s))
+
+    def test_unchained_weight_two_lag_survives_every_failure(self):
+        arr = SensorArray((0, 1, 5, 6))  # lag 1: (0, 1) and (5, 6)
+        assert recount_weight(arr.positions, 1) == 2
+        for s in arr.positions:
+            assert 1 not in failure_report(arr, s).holes_in_original_span
+            assert 1 not in recount_holes(arr.positions, s)
+
+    def test_weight_one_lag_is_lost_at_either_end_of_its_pair(self):
+        arr = SensorArray((0, 1, 3, 7))  # a Golomb ruler: every lag has weight 1
+        for a, b in combinations(arr.positions, 2):
+            for s in arr.positions:
+                lost = b - a in failure_report(arr, s).holes_in_original_span
+                assert lost == (s in (a, b)) == (b - a in recount_holes(arr.positions, s))
+
+    def test_endpoint_failure_loses_the_aperture(self):
+        for arr in oracle_arrays():
+            if arr.n < 3:
+                continue
+            reports = analyze(arr).per_sensor
+            for rep in (reports[0], reports[-1]):
+                assert arr.aperture in rep.holes_in_original_span
+                assert arr.aperture in recount_holes(arr.positions, rep.failed_position)
+
+    def test_holes_already_present_appear_in_every_report(self):
+        arr = SensorArray((0, 1, 2, 9, 11))
+        existing = set(recount_holes(arr.positions, None))
+        assert existing == {3, 4, 5, 6}
+        for rep in analyze(arr).per_sensor:
+            assert existing <= set(rep.holes_in_original_span)
+            assert rep.holes_in_original_span == recount_holes(arr.positions, rep.failed_position)
+
+
+def wide_arrays() -> list[SensorArray]:
+    """Seeded arrays with apertures up to 200, so the lag masks span several
+    machine words: sparse random ones, and grown catalog arrays that stay
+    hole-free with a few lost lags per failure."""
+    rng = random.Random(59)
+    arrays = []
+    while len(arrays) < 60:
+        arr = random_array(rng, max_n=36, max_l=200)
+        if arr.n >= 3:
+            arrays.append(arr)
+    for e in all_entries():
+        if e.family == "RMRA" and e.positions:
+            arr = SensorArray(e.positions)
+            try:
+                grown = extend_repeated_spacing(arr, rng.randint(8, 30))
+            except NoRepeatedRun:
+                continue
+            if grown.aperture <= 200:
+                arrays.append(grown)
+    assert max(a.aperture for a in arrays) > 128
+    return arrays
+
+
+def test_wide_aperture_failure_answers_match_a_recount():
+    for arr in wide_arrays():
+        pos = arr.positions
+        holes = {s: recount_holes(pos, s) for s in pos}
+        essential = tuple([s for s in pos if holes[s]])
+        report = analyze(arr)
+        assert [r.holes_in_original_span for r in report.per_sensor] == list(holes.values())
+        for s in pos[:: max(1, arr.n // 6)]:
+            assert failure_report(arr, s).holes_in_original_span == holes[s], (arr, s)
+        assert report.essential == essential_sensors(arr) == essential
+        assert check_failure_robustness(arr) == (not any(holes[s] for s in pos[1:-1]))
+        l = arr.aperture
+        healthy = [recount_weight(pos, m) for m in range(l + 1)]
+        expected = ConstraintVerdict(
+            size_ok=True,
+            hole_free=all(healthy[1:]),
+            doubly_redundant=all(c >= 2 for c in healthy[1:l]),
+            two_essential=essential == (0, l),
+            sparse=l >= arr.n,
+        )
+        assert rmra_check(arr, arr.n, l) == expected, arr
+        assert rmra_check(arr, arr.n, l, report=report) == expected, arr
+
+
 class TestChecks:
     def test_healthy_weights(self):
         assert check_healthy_weights(SensorArray((0, 1, 2, 3, 5, 6)))
@@ -347,3 +455,17 @@ def test_verify_builds_one_weight_table_per_entry_with_positions(capsys, weight_
     capsys.readouterr()
     with_positions = sum(1 for e in all_entries() if e.positions is not None)
     assert len(weight_table_calls) == with_positions == 116
+
+
+def test_verify_reads_essential_sets_without_failure_reports(capsys, monkeypatch):
+    calls = []
+    original = robustness._failure_report
+
+    def counting(arr, lost, failed):
+        calls.append(failed)
+        return original(arr, lost, failed)
+
+    monkeypatch.setattr(robustness, "_failure_report", counting)
+    assert main(["verify", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == []
