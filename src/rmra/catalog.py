@@ -322,6 +322,12 @@ def known_arrays(family: str, n: int | None = None) -> tuple[CatalogEntry, ...]:
     )
 
 
+@lru_cache(maxsize=256)
+def _array(positions: tuple[int, ...]) -> SensorArray:
+    """The array at ``positions``, validated once; the catalog's are constants."""
+    return SensorArray(positions)
+
+
 def verify_entries(entries: tuple[CatalogEntry, ...] | list[CatalogEntry]) -> CatalogVerification:
     """Re-derive every entry's claims from its positions."""
     checks = []
@@ -334,7 +340,7 @@ def verify_entries(entries: tuple[CatalogEntry, ...] | list[CatalogEntry]) -> Ca
         if e.positions is not None:
             arr = None
             try:
-                arr = SensorArray(e.positions)
+                arr = _array(tuple(e.positions))
             except ValueError as exc:
                 problems.append(f"bad positions: {exc}")
             if arr is not None:

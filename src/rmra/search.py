@@ -218,50 +218,6 @@ def rank_candidate(n: int, l: int, arr: SensorArray | Sequence[int]) -> int:
     return _rank_lex([p - 1 for p in pos[1:-1]], l - 1, n - 2)
 
 
-def _scan_chunk(
-    n: int, l: int, filtered: bool, lo: int, hi: int
-) -> tuple[tuple[int, list[int]] | None, float]:
-    """(found, seconds): found is (rank, positions) of the first valid
-    candidate in [lo, hi), or None; seconds is the call's wall time."""
-    t0 = time.perf_counter()
-    _, offset, positions = kernel.scan(n, l, lo, hi - lo, filtered, True)
-    found = None if offset < 0 else (lo + offset, positions)
-    return found, time.perf_counter() - t0
-
-
-def _scan(
-    n: int,
-    l: int,
-    filtered: bool,
-    start: int,
-    end: int,
-    on_progress: Callable[[int], None] | None,
-) -> tuple[int, list[int]] | None:
-    """First valid candidate in [start, end) of the active enumeration.
-
-    Chunks run in rank order on the calling thread, so the first find is the
-    lexicographic first. A chunk's cost follows the pruned search tree, not
-    its candidate count, so chunk sizes follow the measured time per call:
-    doubled after a call under ``_FAST_S``, halved after one over
-    ``_SLOW_S``. ``on_progress`` receives each chunk end: no valid candidate
-    lies between ``start`` and it.
-    """
-    chunk, lo = _FIRST_CHUNK, start
-    while lo < end:
-        hi = min(lo + chunk, end)
-        found, seconds = _scan_chunk(n, l, filtered, lo, hi)
-        if found is not None:
-            return found
-        if seconds < _FAST_S:
-            chunk *= 2
-        elif seconds > _SLOW_S:
-            chunk = max(1, chunk // 2)
-        if on_progress is not None:
-            on_progress(hi)
-        lo = hi
-    return None
-
-
 def run_stage(
     n: int,
     l: int,
@@ -271,6 +227,13 @@ def run_stage(
     on_progress: Callable[[int], None] | None = None,
 ) -> StageResult:
     """Scan one aperture's candidates; stop at the first valid array.
+
+    Chunks run in rank order on the calling thread, so the first find is the
+    lexicographic first. A chunk's cost follows the pruned search tree, not
+    its candidate count, so chunk sizes follow the measured time per call:
+    doubled after a call under ``_FAST_S``, halved after one over
+    ``_SLOW_S``. ``on_progress`` receives each chunk end: no valid candidate
+    lies between ``start_index`` and it.
 
     ``start_index`` resumes the stage mid-enumeration (checkpointing). It
     must be a confirmed frontier: no valid array may lie below it. Every
@@ -283,26 +246,36 @@ def run_stage(
     size = candidate_count(n, l, filtered)
     if start_index > size:
         raise ValueError("start_index beyond stage size")
-    found = _scan(n, l, filtered, start_index, size, on_progress)
-    elapsed = time.perf_counter() - t0
-
-    if found is not None:
-        rank, positions = found
-        arr = SensorArray(tuple(positions))
-        return StageResult(
-            l=l,
-            outcome=StageOutcome.FOUND,
-            candidates_examined=rank + 1,  # prefix count, identical on resume
-            elapsed=elapsed,
-            array=arr,
-            # unfiltered, the active enumeration is the one candidate_index ranks
-            candidate_index=rank_candidate(n, l, arr) if filtered else rank,
-        )
+    chunk, lo = _FIRST_CHUNK, start_index
+    while lo < size:
+        hi = min(lo + chunk, size)
+        t1 = time.perf_counter()
+        _, offset, positions = kernel.scan(n, l, lo, hi - lo, filtered, True)
+        t2 = time.perf_counter()
+        if offset >= 0:
+            rank = lo + offset
+            arr = SensorArray(tuple(positions))
+            return StageResult(
+                l=l,
+                outcome=StageOutcome.FOUND,
+                candidates_examined=rank + 1,  # prefix count, identical on resume
+                elapsed=t2 - t0,
+                array=arr,
+                # unfiltered, the active enumeration is the one candidate_index ranks
+                candidate_index=rank_candidate(n, l, arr) if filtered else rank,
+            )
+        if t2 - t1 < _FAST_S:
+            chunk *= 2
+        elif t2 - t1 > _SLOW_S:
+            chunk = max(1, chunk // 2)
+        if on_progress is not None:
+            on_progress(hi)
+        lo = hi
     return StageResult(
         l=l,
         outcome=StageOutcome.EXHAUSTED,
         candidates_examined=size,
-        elapsed=elapsed,
+        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -359,8 +332,11 @@ def checkpoint_load(path: str | Path) -> dict:
             f"checkpoint {path} has version {version!r}; this rmra reads only"
             f" version {_CHECKPOINT_VERSION}"
         )
-    digest = payload.get("digest")
-    if digest != _digest({k: v for k, v in payload.items() if k != "digest"}):
+    try:
+        sealed = _digest(payload)
+    except KeyError as exc:
+        raise CorruptCheckpoint(f"checkpoint {path} lacks the field {exc}") from exc
+    if payload.get("digest") != sealed:
         raise CorruptCheckpoint(f"digest mismatch in {path}")
     return payload
 
@@ -404,70 +380,52 @@ def loses_search(
 
     last_saved = time.monotonic()  # one timer across stages
 
-    def save(stage_l: int, next_index: int, done: list[StageResult], force: bool = False) -> None:
+    def save(next_index: int, force: bool = False) -> None:
         nonlocal last_saved
         if ckpt is None or not (force or time.monotonic() - last_saved >= 1.0):
             return
         checkpoint_save(
             ckpt,
             n=cfg.n,
-            l=stage_l,
+            l=l,
             next_index=next_index,
-            stages=done,
+            stages=stages,
             filters=cfg.filter_signature(),
         )
         last_saved = time.monotonic()
 
-    best: StageResult | None = next(
-        (s for s in reversed(stages) if s.outcome is StageOutcome.FOUND), None
-    )
-    verdict: Verdict
-    reason: str | None = None
-
-    capped = False
-    while True:
-        if cfg.l_limit is not None and l > cfg.l_limit:
-            verdict = Verdict.NEAR_OPTIMAL if best is not None else Verdict.NONE_FOUND
-            reason = "aperture limit reached"
-            save(l, 0, stages, force=True)
-            capped = True
-            break
+    while cfg.l_limit is None or l <= cfg.l_limit:
         if l > upper:
             # Beyond the pair budget no candidate can doubly cover 1..l-1,
             # so the stage is exhausted with every candidate filtered out.
-            synthetic = StageResult(
+            result = StageResult(
                 l=l, outcome=StageOutcome.EXHAUSTED, candidates_examined=0, elapsed=0.0
             )
-            stages.append(synthetic)
-            if on_stage is not None:
-                on_stage(synthetic)
-            verdict = Verdict.OPTIMAL if best is not None else Verdict.NONE_FOUND
-            if best is None:
-                reason = "aperture upper bound reached"
-            break
-
-        result = run_stage(
-            cfg.n,
-            l,
-            cfg,
-            start_index=start_index,
-            on_progress=(lambda i, _l=l: save(_l, i, stages)) if ckpt is not None else None,
-        )
+        else:
+            result = run_stage(cfg.n, l, cfg, start_index=start_index, on_progress=save)
         stages.append(result)
         start_index = 0
         if on_stage is not None:
             on_stage(result)
         if result.outcome is StageOutcome.EXHAUSTED:
-            verdict = Verdict.OPTIMAL if best is not None else Verdict.NONE_FOUND
-            if best is None:
-                reason = "first stage exhausted"
+            if ckpt is not None:
+                ckpt.unlink(missing_ok=True)
             break
-        best = result
         l += 1
-        save(l, 0, stages)
+        save(0)
+    else:  # capped: leave a checkpoint at the next stage's start
+        save(0, force=True)
 
-    if not capped and ckpt is not None and ckpt.exists():
-        ckpt.unlink()
+    best = next((s for s in reversed(stages) if s.outcome is StageOutcome.FOUND), None)
+    if not stages or stages[-1].outcome is StageOutcome.FOUND:
+        verdict = Verdict.NEAR_OPTIMAL if best is not None else Verdict.NONE_FOUND
+        reason: str | None = "aperture limit reached"
+    elif best is not None:
+        verdict, reason = Verdict.OPTIMAL, None
+    elif stages[-1].l > upper:
+        verdict, reason = Verdict.NONE_FOUND, "aperture upper bound reached"
+    else:
+        verdict, reason = Verdict.NONE_FOUND, "first stage exhausted"
     return SearchOutcome(
         n=cfg.n,
         stages=tuple(stages),

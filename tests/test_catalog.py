@@ -90,6 +90,20 @@ class TestVerification:
         assert report.failures[0].entry is bad
         assert report.failures[0].problems
 
+    def test_malformed_positions_flagged_on_every_run(self):
+        bad = CatalogEntry(
+            family="RMRA",
+            n=3,
+            l=2,
+            positions=(0, 3, 2),
+            status="optimal",
+            critical_interior_sensors=frozenset(),
+            source="test",
+        )
+        for _ in range(2):  # the second run must not reuse a cached array
+            (check,) = verify_entries([bad]).checks
+            assert check.problems == ("bad positions: positions must be strictly increasing",)
+
     def test_wrong_essential_claim_flagged(self):
         bad = CatalogEntry(
             family="2FRA",

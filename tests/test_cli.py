@@ -73,6 +73,14 @@ class TestSearch:
         assert err.splitlines()[-1].startswith(f"error: could not write checkpoint {path}: ")
         assert ".tmp" not in err
 
+    def test_malformed_checkpoint_is_an_error_not_a_crash(self, capsys, tmp_path):
+        path = tmp_path / "run.ckpt"
+        path.write_text(json.dumps({"version": 2}))
+        code, out, err = run(capsys, "search", "--n", "8", "--checkpoint", str(path))
+        assert code == 3
+        assert err.splitlines()[-1].startswith(f"error: checkpoint {path} lacks the field")
+        assert path.exists()
+
     def test_usage_errors(self, capsys):
         assert run(capsys, "search", "--n", "5")[0] == 3
         assert run(capsys, "search", "--n", "11", "--l-start", "25", "--l-limit", "20")[0] == 3

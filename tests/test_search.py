@@ -171,6 +171,15 @@ class TestLosesSearch:
         assert out.verdict is Verdict.NONE_FOUND
         assert out.best_array is None
         assert out.stages[0].outcome is StageOutcome.EXHAUSTED
+        assert out.reason == "first stage exhausted"
+
+    def test_stage_past_the_pair_budget_ends_a_run_after_a_find(self, monkeypatch):
+        monkeypatch.setattr(search, "aperture_upper_bound", lambda n: 6)
+        out = loses_search(SearchConfig(n=6))
+        trail = [(s.l, s.outcome.value, s.candidates_examined) for s in out.stages]
+        assert trail == [(6, "found", 1), (7, "exhausted", 0)]
+        assert out.verdict is Verdict.OPTIMAL
+        assert out.reason is None
 
     def test_filtered_and_unfiltered_agree(self):
         for n in (6, 7, 8):
@@ -194,14 +203,14 @@ class TestLosesSearch:
 class TestChunkLoop:
     def test_progress_reports_chunk_frontiers(self, monkeypatch):
         chunks, threads = [], set()
-        scan_chunk = search._scan_chunk
+        scan = kernel.scan
 
-        def recording(n, l, filtered, lo, hi):
-            chunks.append((lo, hi))
+        def recording(n, l, start, count, *args):
+            chunks.append((start, start + count))
             threads.add(threading.get_ident())
-            return scan_chunk(n, l, filtered, lo, hi)
+            return scan(n, l, start, count, *args)
 
-        monkeypatch.setattr(search, "_scan_chunk", recording)
+        monkeypatch.setattr(kernel, "scan", recording)
         cfg = SearchConfig(n=11, prune_filters=False)
         frontiers = []
         res = run_stage(11, 23, cfg, on_progress=frontiers.append)
@@ -217,18 +226,25 @@ class TestChunkLoop:
         assert threads == {threading.get_ident()}  # every chunk runs on the calling thread
 
     def test_chunks_follow_measured_call_time(self, monkeypatch):
-        # doubled after a call under 50 ms, halved after one over 250 ms
+        # doubled after a call under 50 ms, halved after one over 250 ms; a
+        # fake clock advances only inside the scan, by that call's seconds
         seconds = iter([0.01, 0.01, 0.3, 0.1, 0.01])
+        clock = [0.0]
         sizes = []
 
-        def timed(n, l, filtered, lo, hi):
-            sizes.append(hi - lo)
-            return None, next(seconds)
+        def timed(n, l, start, count, *args):
+            sizes.append(count)
+            clock[0] += next(seconds)
+            return count, -1, []
 
-        monkeypatch.setattr(search, "_scan_chunk", timed)
+        monkeypatch.setattr(kernel, "scan", timed)
+        monkeypatch.setattr(search.time, "perf_counter", lambda: clock[0])
         c = search._FIRST_CHUNK
-        assert search._scan(12, 27, False, 0, 10 * c, None) is None
-        assert sizes == [c, 2 * c, 4 * c, 2 * c, c]  # the last chunk ends at the range end
+        size = candidate_count(12, 27, False)
+        cfg = SearchConfig(n=12, prune_filters=False)
+        res = run_stage(12, 27, cfg, start_index=size - 10 * c)
+        assert res.outcome is StageOutcome.EXHAUSTED
+        assert sizes == [c, 2 * c, 4 * c, 2 * c, c]  # the last chunk ends at the stage end
 
 
 class TestCheckpoints:
@@ -391,6 +407,23 @@ class TestCheckpoints:
             include_timing=False
         )
         assert not path.exists()
+
+    def test_resume_past_the_pair_budget(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        cfg = SearchConfig(n=6, checkpoint_path=path)
+        checkpoint_save(path, n=6, l=9, next_index=0, stages=[], filters=cfg.filter_signature())
+        out = loses_search(cfg)
+        assert out.verdict is Verdict.NONE_FOUND
+        assert out.reason == "aperture upper bound reached"
+        assert [(s.l, s.candidates_examined) for s in out.stages] == [(9, 0)]
+        assert not path.exists()
+
+    def test_checkpoint_missing_a_sealed_field_rejected(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        path.write_text(json.dumps({"version": 2}))
+        with pytest.raises(CorruptCheckpoint, match="lacks the field 'n'"):
+            loses_search(SearchConfig(n=6, checkpoint_path=path))
+        assert path.exists()  # a rejected file is left for the user
 
     def test_checkpoint_written_during_run(self, tmp_path):
         path = tmp_path / "run.ckpt"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import itertools
 import re
 from pathlib import Path
@@ -77,3 +78,24 @@ def test_readme_search_flag_table_lists_the_parser_options():
         opt for a in search._actions for opt in a.option_strings if opt not in ("-h", "--help")
     ]
     assert sorted(documented) == sorted(options)
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/tracer.py replaces these attributes by name on every traced
+    # run; a renamed or deleted one breaks only traced runs. Read TARGETS
+    # from its source so the tracer is neither imported nor changed.
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    targets = next(
+        node.value
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]
+    )
+    names = [tuple(ast.literal_eval(elt)[:2]) for elt in targets.elts]
+    assert names
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in names
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []
