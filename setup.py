@@ -21,12 +21,6 @@ class optional_build_ext(build_ext):
         except Exception as exc:  # CompileError, DistutilsPlatformError, ...
             warnings.warn(f"compiled kernel skipped ({exc}); using pure-Python fallback")
 
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            warnings.warn(f"compiled kernel skipped ({exc}); using pure-Python fallback")
-
 
 setup(
     ext_modules=[

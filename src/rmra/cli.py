@@ -1,13 +1,16 @@
 """Command-line interface.
 
-Subcommands: search | analyze | catalog | verify | ies. Every command builds
-one JSON-serializable envelope; text and JSON output are two renderings of
-that same payload, and progress lines go to stderr so JSON stays pipe-safe.
+Subcommands: search | analyze | catalog | verify | ies. Each ``_cmd_*``
+handler returns its payload as ``(inputs, result, exit_code)``; ``main`` alone
+wraps it in one JSON-serializable envelope, renders it and maps every error
+to an exit code. Text, JSON and CSV output are renderings of that same
+payload, and progress lines go to stderr so JSON stays pipe-safe.
 `--format json` prints the envelope on one line; pipe it to `jq .` or
 `python -m json.tool` to read it.
 
 Exit codes: 0 success/valid, 1 analysis found a violation, 2 not found or
-outside the input domain, 3 usage error, 4 aperture-limit-capped search.
+outside the input domain, 3 usage error or a checkpoint that is unreadable,
+unwritable or malformed, 4 aperture-limit-capped search.
 """
 
 from __future__ import annotations
@@ -20,13 +23,9 @@ import sys
 import time
 
 from . import __version__
-from .catalog import FAMILIES, compare_apertures, known_arrays, verify_catalog
+from .catalog import FAMILIES, all_entries, compare_apertures, verify_catalog
 from .coarray import (
-    DuplicatePosition,
-    EmptyInput,
     NoRepeatedRun,
-    NonPositiveSpacing,
-    SensorArray,
     array_from_ies,
     canonicalize,
     extend_repeated_spacing,
@@ -34,13 +33,7 @@ from .coarray import (
     weight_table,  # noqa: F401  (unused here; perfbench/tracer.py wraps rmra.cli.weight_table)
 )
 from .robustness import NotASensor, analyze, rmra_check, survivor_weights
-from .search import (
-    CorruptCheckpoint,
-    SearchConfig,
-    StageOutcome,
-    Verdict,
-    loses_search,
-)
+from .search import InvalidConfig, SearchConfig, StageOutcome, Verdict, loses_search
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -136,6 +129,9 @@ def _emit(env: dict, fmt: str) -> None:
     if fmt == "json":
         # One line: without ``indent`` CPython renders with its C encoder.
         print(json.dumps(env))
+    elif fmt == "jsonl" and "entries" in env["result"]:  # a catalog listing
+        for e in env["result"]["entries"]:
+            print(json.dumps(e))
     elif fmt == "csv":
         print(render_csv(env), end="")
     else:
@@ -229,8 +225,6 @@ def render_text(env: dict) -> str:
             lines.append(f"extended ies: {_fmt_array(x['ies'])}")
             lines.append(f"n: {x['n']}  aperture: {x['l']}")
             lines.append(f"valid: {x['verdict']['overall']}")
-    else:  # pragma: no cover
-        lines.append(json.dumps(r))
     return "\n".join(lines) + "\n"
 
 
@@ -255,20 +249,16 @@ def render_csv(env: dict) -> str:
     raise UsageError(f"csv output is not defined for this {cmd} invocation")
 
 
-def _cmd_search(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_search(args) -> tuple[dict, dict, int]:
     if args.workers < 1 and args.n >= 6:  # a too-small --n is reported first
         raise UsageError("workers must be >= 1")
-    try:
-        cfg = SearchConfig(
-            n=args.n,
-            l_start=args.l_start,
-            l_limit=args.l_limit,
-            prune_filters=not args.no_filters,
-            checkpoint_path=args.checkpoint,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = SearchConfig(
+        n=args.n,
+        l_start=args.l_start,
+        l_limit=args.l_limit,
+        prune_filters=not args.no_filters,
+        checkpoint_path=args.checkpoint,
+    )
 
     def report(stage) -> None:
         if stage.outcome is StageOutcome.FOUND:
@@ -276,32 +266,20 @@ def _cmd_search(args) -> int:
         else:
             print(f"Failure to find L = {stage.l} for N = {args.n}", file=sys.stderr)
 
-    try:
-        outcome = loses_search(cfg, on_stage=report)
-    except (CorruptCheckpoint, OSError) as exc:  # OSError: the checkpoint could not be written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    env = _envelope(
-        "search",
-        {
-            "n": args.n,
-            "l_start": cfg.effective_l_start(),
-            "l_limit": args.l_limit,
-            "filters": not args.no_filters,
-        },
-        outcome.to_dict(),
-        t0,
+    outcome = loses_search(cfg, on_stage=report)
+    inputs = {
+        "n": args.n,
+        "l_start": cfg.effective_l_start(),
+        "l_limit": args.l_limit,
+        "filters": not args.no_filters,
+    }
+    exit_code = {Verdict.OPTIMAL: EXIT_OK, Verdict.NEAR_OPTIMAL: EXIT_CAPPED}.get(
+        outcome.verdict, EXIT_NOT_FOUND
     )
-    _emit(env, args.format)
-    if outcome.verdict is Verdict.OPTIMAL:
-        return EXIT_OK
-    if outcome.verdict is Verdict.NEAR_OPTIMAL:
-        return EXIT_CAPPED
-    return EXIT_NOT_FOUND
+    return inputs, outcome.to_dict(), exit_code
 
 
-def _cmd_analyze(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_analyze(args) -> tuple[dict, dict, int]:
     raw = _positions_arg(args.positions)
     arr = canonicalize(raw)
     if arr.n < 3:
@@ -335,13 +313,11 @@ def _cmd_analyze(args) -> int:
             "holes": list(detail.holes_in_original_span),
             "span_after": detail.span_after,
         }
-    env = _envelope("analyze", {"positions": raw, "failed": args.failed}, result, t0)
-    _emit(env, args.format)
-    return EXIT_OK if verdict.two_essential else EXIT_VIOLATION
+    inputs = {"positions": raw, "failed": args.failed}
+    return inputs, result, EXIT_OK if verdict.two_essential else EXIT_VIOLATION
 
 
-def _cmd_catalog(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_catalog(args) -> tuple[dict, dict, int]:
     if args.compare:
         rows = compare_apertures(range(6, 21) if args.n is None else [args.n])
         result = {
@@ -356,31 +332,23 @@ def _cmd_catalog(args) -> int:
                 for r in rows
             ]
         }
-        env = _envelope("catalog", {"compare": True, "n": args.n}, result, t0)
-        _emit(env, args.format)
-        return EXIT_OK
+        return {"compare": True, "n": args.n}, result, EXIT_OK
+    family = None
     if args.family is not None:
         # accept any case; families are conventionally written mixed-case
-        matches = [f for f in FAMILIES if f.lower() == args.family.lower()]
-        if not matches:
+        family = next((f for f in FAMILIES if f.lower() == args.family.lower()), None)
+        if family is None:
             raise UsageError(f"unknown family {args.family!r}; expected one of {FAMILIES}")
-        entries = known_arrays(matches[0], args.n)
-    else:
-        from .catalog import all_entries
-
-        entries = tuple([e for e in all_entries() if args.n is None or e.n == args.n])
-    result = {"entries": [e.to_dict() for e in entries]}
-    env = _envelope("catalog", {"family": args.family, "n": args.n}, result, t0)
-    if args.format == "jsonl":
-        for e in result["entries"]:
-            print(json.dumps(e))
-    else:
-        _emit(env, args.format)
-    return EXIT_OK if entries else EXIT_NOT_FOUND
+    entries = [
+        e.to_dict()
+        for e in all_entries()
+        if (family is None or e.family == family) and (args.n is None or e.n == args.n)
+    ]
+    inputs = {"family": args.family, "n": args.n}
+    return inputs, {"entries": entries}, EXIT_OK if entries else EXIT_NOT_FOUND
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify(args) -> tuple[dict, dict, int]:
     verification = verify_catalog()
     result = {
         "all_passed": verification.all_passed,
@@ -391,13 +359,10 @@ def _cmd_verify(args) -> int:
             for c in verification.checks
         ],
     }
-    env = _envelope("verify", {}, result, t0)
-    _emit(env, args.format)
-    return EXIT_OK if verification.all_passed else EXIT_VIOLATION
+    return {}, result, EXIT_OK if verification.all_passed else EXIT_VIOLATION
 
 
-def _cmd_ies(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_ies(args) -> tuple[dict, dict, int]:
     if args.from_ies is not None and args.positions:
         raise UsageError("give positions or --from-ies, not both")
     if args.from_ies is not None:
@@ -421,23 +386,11 @@ def _cmd_ies(args) -> int:
         }
         if not verdict.overall:
             exit_code = EXIT_VIOLATION
-    env = _envelope(
-        "ies",
-        {"positions": args.positions, "from_ies": args.from_ies, "extend": args.extend},
-        result,
-        t0,
-    )
-    _emit(env, args.format)
-    return exit_code
+    inputs = {"positions": args.positions, "from_ies": args.from_ies, "extend": args.extend}
+    return inputs, result, exit_code
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     handlers = {
         "search": _cmd_search,
         "analyze": _cmd_analyze,
@@ -446,14 +399,18 @@ def main(argv: list[str] | None = None) -> int:
         "ies": _cmd_ies,
     }
     try:
-        return handlers[args.command](args)
-    except UsageError as exc:
+        args = build_parser().parse_args(argv)
+        t0 = time.perf_counter()
+        inputs, result, exit_code = handlers[args.command](args)
+        _emit(_envelope(args.command, inputs, result, t0), args.format)
+        return exit_code
+    except (UsageError, InvalidConfig) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NotASensor, NoRepeatedRun) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    except (DuplicatePosition, EmptyInput, NonPositiveSpacing, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a checkpoint could not be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

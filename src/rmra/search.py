@@ -39,6 +39,7 @@ from .coarray import SensorArray
 __all__ = [
     "CorruptCheckpoint",
     "IndexOutOfRange",
+    "InvalidConfig",
     "SearchConfig",
     "StageOutcome",
     "StageResult",
@@ -64,7 +65,11 @@ class IndexOutOfRange(IndexError):
 
 
 class CorruptCheckpoint(ValueError):
-    """Checkpoint file failed validation (version, digest, or config)."""
+    """Checkpoint file failed validation (version, digest, field types, or config)."""
+
+
+class InvalidConfig(ValueError):
+    """A :class:`SearchConfig` setting outside its domain."""
 
 
 class StageOutcome(str, Enum):
@@ -95,14 +100,14 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         if self.n < 6:
-            raise ValueError("searches start at 6 sensors (smallest valid array)")
+            raise InvalidConfig("searches start at 6 sensors (smallest valid array)")
         if self.l_start is not None and self.l_start < self.n:
-            raise ValueError("l_start must be at least n")
+            raise InvalidConfig("l_start must be at least n")
         start = self.effective_l_start()
         if start > aperture_upper_bound(self.n):
-            raise ValueError("l_start exceeds the aperture upper bound")
+            raise InvalidConfig("l_start exceeds the aperture upper bound")
         if self.l_limit is not None and self.l_limit < start:
-            raise ValueError("l_limit must be at least the starting aperture")
+            raise InvalidConfig("l_limit must be at least the starting aperture")
 
     def effective_l_start(self) -> int:
         return self.n if self.l_start is None else self.l_start
@@ -338,7 +343,34 @@ def checkpoint_load(path: str | Path) -> dict:
         raise CorruptCheckpoint(f"checkpoint {path} lacks the field {exc}") from exc
     if payload.get("digest") != sealed:
         raise CorruptCheckpoint(f"digest mismatch in {path}")
+    if not _well_formed(payload):
+        raise CorruptCheckpoint(f"checkpoint {path} holds a field of the wrong type")
     return payload
+
+
+def _well_formed(payload: dict) -> bool:
+    """Whether every field a resumed run reads has its type; the digest only seals."""
+
+    def count(v, optional: bool = False) -> bool:
+        return (optional and v is None) or (type(v) is int and v >= 0)  # bool is no count
+
+    def positions(v) -> bool:
+        return v is None or (isinstance(v, list) and all(map(count, v)))
+
+    stages = payload["stages"]
+    return (
+        all(count(payload[k]) for k in ("n", "l", "next_index"))
+        and isinstance(stages, list)
+        and all(
+            isinstance(s, dict)
+            and count(s.get("l"))
+            and count(s.get("candidates_examined"))
+            and count(s.get("candidate_index"), optional=True)
+            and s.get("outcome") in ("found", "exhausted")
+            and positions(s.get("array"))
+            for s in stages
+        )
+    )
 
 
 def _digest(payload: dict) -> str:

@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 import rmra
+import rmra.cli
+from rmra import search
+from rmra.catalog import CatalogEntry, all_entries, verify_entries
 from rmra.cli import build_parser, main, render_text
 
 from conftest import TABLE3
@@ -73,12 +76,62 @@ class TestSearch:
         assert err.splitlines()[-1].startswith(f"error: could not write checkpoint {path}: ")
         assert ".tmp" not in err
 
+    def test_capped_run_with_unwritable_checkpoint_prints_no_envelope(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "dir" / "f"
+        code, out, err = run(
+            capsys, "search", "--n", "8", "--l-limit", "9", "--checkpoint", str(path)
+        )
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            "Valid configuration found for L = 8",
+            "Valid configuration found for L = 9",
+            f"error: could not write checkpoint {path}: No such file or directory",
+        ]
+
     def test_malformed_checkpoint_is_an_error_not_a_crash(self, capsys, tmp_path):
         path = tmp_path / "run.ckpt"
         path.write_text(json.dumps({"version": 2}))
         code, out, err = run(capsys, "search", "--n", "8", "--checkpoint", str(path))
         assert code == 3
         assert err.splitlines()[-1].startswith(f"error: checkpoint {path} lacks the field")
+        assert path.exists()
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            pytest.param({"stages": [{}]}, id="empty-stage"),
+            pytest.param({"stages": 5}, id="stages-not-a-list"),
+            pytest.param({"l": "x"}, id="l-a-string"),
+            pytest.param({"l": 9.5}, id="l-a-float"),
+            pytest.param({"next_index": "a"}, id="next_index-a-string"),
+            pytest.param({"next_index": True}, id="next_index-a-bool"),
+            pytest.param(
+                {"stages": [{"l": 8, "outcome": "found", "candidates_examined": 3, "array": 5}]},
+                id="stage-array-not-a-list",
+            ),
+            pytest.param(
+                {"stages": [{"l": "x", "outcome": "found", "candidates_examined": 3}]},
+                id="stage-l-a-string",
+            ),
+        ],
+    )
+    def test_sealed_checkpoint_with_a_mistyped_field_is_an_error(self, capsys, tmp_path, field):
+        # the digest matches, so only the field types give the file away
+        path = tmp_path / "run.ckpt"
+        payload = {
+            "version": 2,
+            "n": 8,
+            "l": 9,
+            "next_index": 0,
+            "stages": [],
+            "filters": {"prune_filters": True},
+            **field,
+        }
+        payload["digest"] = search._digest(payload)
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "search", "--n", "8", "--checkpoint", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: checkpoint {path} holds a field of the wrong type\n"
         assert path.exists()
 
     def test_usage_errors(self, capsys):
@@ -152,6 +205,16 @@ class TestAnalyze:
     def test_duplicate_positions(self, capsys):
         assert run(capsys, "analyze", "0,1,1,3")[0] == 3
 
+    def test_no_positions(self, capsys):
+        assert run(capsys, "analyze", ",") == (3, "", "usage error: no positions given\n")
+
+    def test_fewer_than_three_sensors(self, capsys):
+        assert run(capsys, "analyze", "0,5") == (
+            3,
+            "",
+            "usage error: analysis needs at least three sensors\n",
+        )
+
     def test_csv_weight_table(self, capsys):
         code, out, _ = run(capsys, "analyze", "0,1,2,5,6,8,9", "--format", "csv")
         lines = out.strip().splitlines()
@@ -194,6 +257,24 @@ class TestCatalog:
 
     def test_empty_result(self, capsys):
         assert run(capsys, "catalog", "--family", "symna", "--n", "17")[0] == 2
+
+    def test_size_without_family_lists_every_family(self, capsys):
+        code, out, _ = run(capsys, "catalog", "--n", "13")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == "22 entries"
+        assert all(" n=13 " in line for line in lines[:-1])
+        assert lines[0] == (
+            "RMRA n=13 L=32 optimal [table5] [0, 1, 2, 4, 5, 9, 14, 19, 24, 25, 30, 31, 32]"
+        )
+        assert lines[-2].startswith("2FRA n=13 L=31 optimal [sec4.5/table7] ")
+
+    def test_csv_listing_is_a_usage_error(self, capsys):
+        assert run(capsys, "catalog", "--format", "csv") == (
+            3,
+            "",
+            "usage error: csv output is not defined for this catalog invocation\n",
+        )
 
     def test_comparison_table(self, capsys):
         code, out, _ = run(capsys, "catalog", "--compare")
@@ -243,6 +324,26 @@ class TestVerify:
         assert env["result"]["all_passed"] is True
         assert env["result"]["passed"] == env["result"]["total"]
 
+    def test_failing_entry(self, capsys, monkeypatch):
+        bad = CatalogEntry(
+            family="RMRA",
+            n=7,
+            l=10,
+            positions=(0, 1, 2, 5, 6, 8, 10),
+            status="optimal",
+            critical_interior_sensors=frozenset(),
+            source="test",
+        )
+        total = len(all_entries()) + 1
+        monkeypatch.setattr(
+            rmra.cli, "verify_catalog", lambda: verify_entries([*all_entries(), bad])
+        )
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-2].startswith("FAIL RMRA n=7 L=10 [test] :: validity check failed: ")
+        assert lines[-1] == f"{total - 1}/{total} entries passed"
+
 
 class TestIes:
     def test_positions_to_ies(self, capsys):
@@ -266,6 +367,12 @@ class TestIes:
     def test_extend_patternless(self, capsys):
         code, _, err = run(capsys, "ies", "0,1,3,7", "--extend", "1")
         assert code == 2
+
+    def test_extend_to_an_invalid_array_exit_one(self, capsys):
+        code, out, _ = run(capsys, "ies", "0,1,2,3", "--extend", "3")
+        assert code == 1
+        assert "extended positions: [0, 1, 2, 3, 4, 5, 6]" in out
+        assert out.splitlines()[-2:] == ["n: 7  aperture: 6", "valid: False"]
 
     def test_requires_input(self, capsys):
         assert run(capsys, "ies")[0] == 3

@@ -99,3 +99,26 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_cli_handlers_return_payloads_and_main_alone_renders_and_maps_errors():
+    # One pipeline: each _cmd_* handler returns (inputs, result, exit_code);
+    # main alone builds the envelope, renders it and maps exceptions to exit
+    # codes. New flags and subcommands keep to it.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    callers: dict[str, list[str]] = {"_envelope": [], "_emit": []}
+    handlers_with_try = []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in callers
+            ):
+                callers[node.func.id].append(func.name)
+            if func.name.startswith("_cmd_") and isinstance(node, ast.Try):
+                handlers_with_try.append(f"{func.name}:{node.lineno}")
+    assert callers == {"_envelope": ["main"], "_emit": ["main"]}
+    assert handlers_with_try == []
