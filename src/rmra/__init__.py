@@ -55,6 +55,7 @@ from .search import (
 from .catalog import (
     CatalogEntry,
     ComparisonRow,
+    OutsideComparison,
     compare_apertures,
     known_arrays,
     verify_catalog,

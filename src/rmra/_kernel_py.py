@@ -17,8 +17,6 @@ The module also holds the lexicographic rank arithmetic, ``_rank_lex`` and
 against, and what :mod:`rmra.search` ranks candidates with.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Sequence
 

@@ -11,8 +11,6 @@ sensors instead. ``--json`` prints the same figures, plus the host, as one
 JSON document.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

@@ -9,10 +9,8 @@ modules; two entries are not hand-typed at all but regenerated from the
 15-sensor optimum by spacing-pattern extrapolation.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .coarray import SensorArray, extend_repeated_spacing
 from .robustness import essential_sensors, rmra_check
@@ -23,6 +21,7 @@ __all__ = [
     "ComparisonRow",
     "EntryCheck",
     "FAMILIES",
+    "OutsideComparison",
     "all_entries",
     "compare_apertures",
     "known_arrays",
@@ -34,8 +33,11 @@ FAMILIES = ("RMRA", "TFRA-valid", "2FRA", "symNA")
 _STATUSES = ("optimal", "near-optimal", "stage-valid", "aperture-only")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class OutsideComparison(ValueError):
+    """A sensor count the cross-family aperture comparison does not cover."""
+
+
+class CatalogEntry(NamedTuple):
     family: str
     n: int
     l: int
@@ -56,15 +58,13 @@ class CatalogEntry:
         }
 
 
-@dataclass(frozen=True)
-class EntryCheck:
+class EntryCheck(NamedTuple):
     entry: CatalogEntry
     passed: bool
     problems: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CatalogVerification:
+class CatalogVerification(NamedTuple):
     checks: tuple[EntryCheck, ...]
 
     @property
@@ -76,8 +76,7 @@ class CatalogVerification:
         return tuple([c for c in self.checks if not c.passed])
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One line of the cross-family aperture comparison."""
 
     n: int
@@ -375,7 +374,7 @@ def compare_apertures(n_range=None) -> tuple[ComparisonRow, ...]:
     rows = []
     for n in n_range:
         if not 6 <= n <= 20:
-            raise ValueError(f"comparison data covers 6..20 sensors, not {n}")
+            raise OutsideComparison(f"comparison data covers 6..20 sensors, not {n}")
         symna, rmra, fra2, critical = _COMPARISON[n]
         rows.append(
             ComparisonRow(

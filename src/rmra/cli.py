@@ -13,8 +13,6 @@ outside the input domain, 3 usage error or a checkpoint that is unreadable,
 unwritable or malformed, 4 aperture-limit-capped search.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -23,7 +21,7 @@ import sys
 import time
 
 from . import __version__
-from .catalog import FAMILIES, all_entries, compare_apertures, verify_catalog
+from .catalog import FAMILIES, OutsideComparison, all_entries, compare_apertures, verify_catalog
 from .coarray import (
     NoRepeatedRun,
     array_from_ies,
@@ -129,9 +127,10 @@ def _emit(env: dict, fmt: str) -> None:
     if fmt == "json":
         # One line: without ``indent`` CPython renders with its C encoder.
         print(json.dumps(env))
-    elif fmt == "jsonl" and "entries" in env["result"]:  # a catalog listing
-        for e in env["result"]["entries"]:
-            print(json.dumps(e))
+    elif fmt == "jsonl":  # only catalog offers it: one line per entry or comparison row
+        r = env["result"]
+        for row in r["comparison"] if "comparison" in r else r["entries"]:
+            print(json.dumps(row))
     elif fmt == "csv":
         print(render_csv(env), end="")
     else:
@@ -407,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, InvalidConfig) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NotASensor, NoRepeatedRun) as exc:
+    except (NotASensor, NoRepeatedRun, OutsideComparison) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
     except (ValueError, OSError) as exc:  # OSError: a checkpoint could not be written

@@ -6,11 +6,8 @@ lag weights, coarray holes and inter-element spacings. No floating point,
 no physical units.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "DuplicatePosition",
@@ -54,8 +51,39 @@ class NoRepeatedRun(ValueError):
 IesVector = tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SensorArray:
+class _Frozen:
+    """Immutable value object whose fields are its ``__slots__``.
+
+    Subclasses list their fields in ``__slots__`` in constructor order and
+    set them in ``__init__`` with ``object.__setattr__``. Equality (same
+    class only), hashing and pickling go through the fields; assigning or
+    deleting one raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:  # pickle and copy rebuild through __init__
+        return self.__class__, self._values()
+
+
+class SensorArray(_Frozen):
     """A canonical sparse linear array.
 
     Positions are strictly increasing integers anchored at 0, so the aperture
@@ -63,11 +91,11 @@ class SensorArray:
     arbitrary (unsorted, un-anchored) position list.
     """
 
+    __slots__ = ("positions",)
     positions: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        pos = tuple([int(p) for p in self.positions])
-        object.__setattr__(self, "positions", pos)
+    def __init__(self, positions: tuple[int, ...]) -> None:
+        pos = tuple([int(p) for p in positions])
         if len(pos) < 2:
             raise ValueError("an array needs at least two sensors")
         if pos[0] != 0:
@@ -77,6 +105,7 @@ class SensorArray:
                 raise DuplicatePosition(f"duplicate position {a}")
             if b < a:
                 raise ValueError("positions must be strictly increasing")
+        object.__setattr__(self, "positions", pos)
 
     @property
     def n(self) -> int:
@@ -96,8 +125,7 @@ class SensorArray:
         return f"SensorArray({list(self.positions)})"
 
 
-@dataclass(frozen=True, slots=True)
-class WeightTable:
+class WeightTable(_Frozen):
     """Lag-indexed pair counts of an array.
 
     ``counts[m]`` is the number of sensor pairs separated by exactly ``m``
@@ -106,8 +134,16 @@ class WeightTable:
     works without special cases.
     """
 
+    __slots__ = ("aperture", "counts")
     aperture: int
     counts: tuple[int, ...]
+
+    def __init__(self, aperture: int, counts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "aperture", aperture)
+        object.__setattr__(self, "counts", counts)
+
+    def __repr__(self) -> str:
+        return f"WeightTable(aperture={self.aperture!r}, counts={self.counts!r})"
 
     def __getitem__(self, lag: int) -> int:
         return self.counts[lag]
@@ -116,8 +152,7 @@ class WeightTable:
         return len(self.counts)
 
 
-@dataclass(frozen=True, slots=True)
-class LagSet:
+class LagSet(NamedTuple):
     """Non-negative lags present in an array's difference coarray.
 
     Negative lags are implicit: the coarray is symmetric about zero.

@@ -10,8 +10,6 @@ arithmetic the rest of the package uses, ``_rank_lex`` and ``_unrank_lex``,
 is re-exported from :mod:`rmra._kernel_py`.
 """
 
-from __future__ import annotations
-
 from . import _kernel_py
 from ._kernel_py import _rank_lex, _unrank_lex  # noqa: F401  (re-exported)
 

@@ -17,10 +17,7 @@ and 2, and a few big-int operations per sensor give the lags its failure
 loses (see :func:`_lost_lags`). No survivor table is built for a verdict.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .coarray import SensorArray, WeightTable, doubly_redundant_span, weight_table
 
@@ -45,8 +42,7 @@ class NotASensor(ValueError):
     """The requested failure position is not part of the array."""
 
 
-@dataclass(frozen=True, slots=True)
-class Fragility:
+class Fragility(NamedTuple):
     """Essential-sensor ratio kept unreduced, e.g. 2/6 stays 2/6.
 
     The numerator is always the count of essential sensors and the
@@ -57,15 +53,16 @@ class Fragility:
     essential_count: int
     total: int
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self) -> "Fraction":
+        from fractions import Fraction  # imports decimal; only this method needs it
+
         return Fraction(self.essential_count, self.total)
 
     def __str__(self) -> str:
         return f"{self.essential_count}/{self.total}"
 
 
-@dataclass(frozen=True, slots=True)
-class FailureReport:
+class FailureReport(NamedTuple):
     """Coarray damage caused by removing one sensor."""
 
     failed_position: int
@@ -74,8 +71,7 @@ class FailureReport:
     span_after: int
 
 
-@dataclass(frozen=True, slots=True)
-class RobustnessReport:
+class RobustnessReport(NamedTuple):
     """Full per-sensor failure analysis of one array.
 
     ``weights`` is the healthy weight table every report was read from;
@@ -89,8 +85,7 @@ class RobustnessReport:
     weights: WeightTable
 
 
-@dataclass(frozen=True, slots=True)
-class ConstraintVerdict:
+class ConstraintVerdict(NamedTuple):
     """The five validity predicates and their conjunction."""
 
     size_ok: bool

@@ -21,20 +21,17 @@ the mirror of a valid array is valid and lies in the same stage, so the
 first valid array is always mirror-canonical.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import os
 import time
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import kernel
 from .kernel import _rank_lex, _unrank_lex
-from .coarray import SensorArray
+from .coarray import SensorArray, _Frozen
 
 __all__ = [
     "CorruptCheckpoint",
@@ -83,8 +80,7 @@ class Verdict(str, Enum):
     NONE_FOUND = "none-found"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Frozen):
     """Knobs for one search run.
 
     The run tries apertures ``l_start`` (default n) upward, one per found
@@ -92,13 +88,24 @@ class SearchConfig:
     ``prune_filters`` pins grid points 1 and l-1 (see :func:`candidate_count`).
     """
 
+    __slots__ = ("n", "l_start", "l_limit", "prune_filters", "checkpoint_path")
     n: int
-    l_start: int | None = None
-    l_limit: int | None = None
-    prune_filters: bool = True
-    checkpoint_path: str | Path | None = None
+    l_start: int | None
+    l_limit: int | None
+    prune_filters: bool
+    checkpoint_path: str | Path | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n: int,
+        l_start: int | None = None,
+        l_limit: int | None = None,
+        prune_filters: bool = True,
+        checkpoint_path: str | Path | None = None,
+    ) -> None:
+        values = (n, l_start, l_limit, prune_filters, checkpoint_path)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         if self.n < 6:
             raise InvalidConfig("searches start at 6 sensors (smallest valid array)")
         if self.l_start is not None and self.l_start < self.n:
@@ -109,6 +116,10 @@ class SearchConfig:
         if self.l_limit is not None and self.l_limit < start:
             raise InvalidConfig("l_limit must be at least the starting aperture")
 
+    def __repr__(self) -> str:
+        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"SearchConfig({args})"
+
     def effective_l_start(self) -> int:
         return self.n if self.l_start is None else self.l_start
 
@@ -117,8 +128,7 @@ class SearchConfig:
         return {"prune_filters": self.prune_filters}
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(NamedTuple):
     """One aperture's verdict.
 
     ``array`` is the lexicographically first valid array of the stage.
@@ -161,8 +171,7 @@ class StageResult:
         )
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Whole-run result: the stage trail plus the optimality verdict."""
 
     n: int

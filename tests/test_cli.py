@@ -289,6 +289,22 @@ class TestCatalog:
         assert "16,24,47,45," in lines
         assert "13,,32,31,16" in lines
 
+    def test_comparison_jsonl_prints_one_row_per_line(self, capsys):
+        code, out, _ = run(capsys, "catalog", "--compare", "--format", "jsonl")
+        assert code == 0
+        _, json_out, _ = run(capsys, "catalog", "--compare", "--format", "json")
+        rows = json.loads(json_out)["result"]["comparison"]
+        assert len(rows) == 15
+        assert [json.loads(line) for line in out.splitlines()] == rows
+
+    @pytest.mark.parametrize("n", [5, 25])
+    def test_comparison_outside_its_data_is_not_found(self, capsys, n):
+        assert run(capsys, "catalog", "--compare", "--n", str(n)) == (
+            2,
+            "",
+            f"error: comparison data covers 6..20 sensors, not {n}\n",
+        )
+
     def test_jsonl_export(self, capsys):
         code, out, _ = run(capsys, "catalog", "--family", "rmra", "--format", "jsonl")
         assert code == 0

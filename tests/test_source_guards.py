@@ -6,7 +6,11 @@ import argparse
 import ast
 import importlib
 import itertools
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import rmra
@@ -122,3 +126,44 @@ def test_cli_handlers_return_payloads_and_main_alone_renders_and_maps_errors():
                 handlers_with_try.append(f"{func.name}:{node.lineno}")
     assert callers == {"_envelope": ["main"], "_emit": ["main"]}
     assert handlers_with_try == []
+
+
+def test_import_loads_no_dataclasses_inspect_fractions_or_decimal():
+    # Every command pays for `import rmra` first. dataclasses pulls in
+    # inspect, ast, dis and tokenize, and fractions pulls in decimal and
+    # numbers; together they made up most of the import time.
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import rmra\n"
+        "after_rmra = set(sys.modules)\n"
+        "import rmra.cli\n"
+        "print(json.dumps([sorted(after_rmra - before), sorted(set(sys.modules) - after_rmra)]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    by_rmra, by_cli = json.loads(proc.stdout)
+    assert "rmra.coarray" in by_rmra and "rmra.cli" in by_cli
+    unwanted = {"dataclasses", "inspect", "fractions", "decimal"}
+    assert unwanted & set(by_rmra) == set()
+    assert unwanted & set(by_cli) == set()
+
+
+def test_no_module_imports_dataclasses():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
