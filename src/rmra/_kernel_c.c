@@ -1,14 +1,16 @@
 /* Compiled stage engine behind rmra.kernel.scan.
  *
- * scan(n, l, start, count, filtered=False, mirror_prune=False) keeps the
- * contract of rmra._kernel_py.scan: the window is the count candidates of
- * stage (n, l) from lexicographic rank start onwards (cut at the stage end),
- * and it returns (examined, offset, positions) for the first valid array in
- * the window, or (examined, -1, None). With mirror_prune, arrays whose mirror
- * comes first are skipped. The engine unranks the window's ends into sets,
- * searches between them without visiting the candidates before the find,
- * and ranks the find, so examined is the find's offset plus one, or the
- * window size. 4 <= n <= 36 and n <= l <= 255.
+ * scan(n, l, start, count, filtered=False) keeps the contract of
+ * rmra._kernel_py.scan: the window is the count candidates of stage (n, l)
+ * from lexicographic rank start onwards (cut at the stage end), and it
+ * returns (examined, offset, positions) for the first valid array in the
+ * window that is mirror-canonical, or (examined, -1, None). An array whose
+ * mirror comes first is skipped: validity is mirror-invariant and the mirror
+ * lies in the same stage, so a stage's first valid array is always
+ * mirror-canonical and skipping never changes it. The engine unranks the
+ * window's ends into sets, searches between them without visiting the
+ * candidates before the find, and ranks the find, so examined is the find's
+ * offset plus one, or the window size. 4 <= n <= 36 and n <= l <= 255.
  *
  * Ends-inward branch-and-bound, the exhaustive method for sparse rulers and
  * minimum-redundancy arrays (Leech, 1956): grid points are decided in the
@@ -148,7 +150,7 @@ INLINE int mirror_first(const state *st, int l, int nw)
 }
 
 typedef struct {
-    int n, l, base, mirror, slack, ndec, found;
+    int n, l, base, slack, ndec, found;
     word lo[MAX_W], hi[MAX_W]; /* window bounds as sets; hi becomes each find */
     state st[MAX_N + 1];       /* st[m]: the m sensors placed so far */
 } search;
@@ -184,7 +186,7 @@ INLINE void leaf(search *s, const state *st, int nw)
 {
     if (lexcmp(st->s, s->lo, s->l, nw) >= 0
         && lexcmp(st->s, s->hi, s->l, nw) <= 0
-        && (!s->mirror || mirror_first(st, s->l, nw)) && robust(st, nw)) {
+        && mirror_first(st, s->l, nw) && robust(st, nw)) {
         memcpy(s->hi, st->s, sizeof s->hi);
         s->found = 1;
     }
@@ -339,15 +341,15 @@ static PyObject *rank_to_long(const rank *r)
 
 static PyObject *scan(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "l", "start", "count", "filtered", "mirror_prune", NULL};
-    int n, l, filtered = 0, mirror = 0;
+    static char *kwlist[] = {"n", "l", "start", "count", "filtered", NULL};
+    int n, l, filtered = 0;
     PyObject *start_obj, *count_obj;
     rank start, count, end;
     search s;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOO|pp:scan", kwlist, &n, &l, &start_obj,
-                                     &count_obj, &filtered, &mirror))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOO|p:scan", kwlist, &n, &l, &start_obj,
+                                     &count_obj, &filtered))
         return NULL;
     if (n < 4 || n > MAX_N)
         return PyErr_Format(PyExc_ValueError,
@@ -389,7 +391,6 @@ static PyObject *scan(PyObject *self, PyObject *args, PyObject *kwargs)
     s.n = n;
     s.l = l;
     s.base = base;
-    s.mirror = mirror;
     s.slack = n * (n - 1) / 2 - 1 - 2 * (l - 1);
     s.ndec = m; /* the grid points base..l-base */
     for (int i = 0; i < base; i++) {
@@ -441,9 +442,10 @@ static PyObject *scan(PyObject *self, PyObject *args, PyObject *kwargs)
 
 static PyMethodDef methods[] = {
     {"scan", (PyCFunction)(void (*)(void))scan, METH_VARARGS | METH_KEYWORDS,
-     "scan(n, l, start, count, filtered=False, mirror_prune=False)\n--\n\n"
-     "(examined, offset, positions) of the first valid array among the count\n"
-     "candidates from lexicographic rank start, as rmra._kernel_py.scan."},
+     "scan(n, l, start, count, filtered=False)\n--\n\n"
+     "(examined, offset, positions) of the first valid, mirror-canonical array\n"
+     "among the count candidates from lexicographic rank start, as\n"
+     "rmra._kernel_py.scan."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -70,7 +70,6 @@ def scan(
     start: int,
     count: int,
     filtered: bool = False,
-    mirror_prune: bool = False,
 ) -> tuple[int, int, list[int] | None]:
     """Scan up to ``count`` consecutive candidates in lexicographic order.
 
@@ -78,9 +77,12 @@ def scan(
     lexicographic order: n-2 grid points strictly between the endpoints, or
     n-4 when ``filtered`` fixes grid points 1 and l-1 as well. The window
     starts at rank ``start`` (``0 <= start <`` the stage size) and is cut at
-    the stage end. Returns ``(examined, found_offset, positions)`` where
-    ``found_offset`` is -1 if no candidate in the range is valid; a
-    mirror-pruned candidate counts as examined but never as found.
+    the stage end. Returns ``(examined, found_offset, positions)`` for the
+    first valid, mirror-canonical candidate, where ``found_offset`` is -1 if
+    the range holds none. A candidate whose mirror comes first counts as
+    examined but never as found: validity is mirror-invariant and the mirror
+    lies in the same stage, so a stage's first valid array is always
+    mirror-canonical and the skip never changes it.
     """
     k, base, m = _setup(n, l, filtered)
     if not isinstance(start, int):
@@ -100,7 +102,7 @@ def scan(
     while True:
         p = head + tuple(v + base for v in c) + tail
         examined += 1
-        if _valid(p, n, l, full, mirror_prune):
+        if _valid(p, n, l, full):
             return examined, examined - 1, list(p)
         if examined >= count:
             return examined, -1, None
@@ -114,14 +116,13 @@ def scan(
             c[j] = c[j - 1] + 1
 
 
-def _valid(p: tuple[int, ...], n: int, l: int, full: int, mirror_prune: bool) -> bool:
-    if mirror_prune:  # skip p when its mirror comes first lexicographically
-        for i in range(n):
-            q = l - p[n - 1 - i]
-            if q != p[i]:
-                if q < p[i]:
-                    return False
-                break
+def _valid(p: tuple[int, ...], n: int, l: int, full: int) -> bool:
+    for i in range(n):  # skip p when its mirror comes first lexicographically
+        q = l - p[n - 1 - i]
+        if q != p[i]:
+            if q < p[i]:
+                return False
+            break
     pm = 0
     for s in p:
         pm |= 1 << s
@@ -131,9 +132,9 @@ def _valid(p: tuple[int, ...], n: int, l: int, full: int, mirror_prune: bool) ->
         thrice |= twice & x
         twice |= once & x
         once |= x
-    if twice & full != full:  # some lag in 1..l-1 has weight < 2
-        return False
-    if (twice >> l) & 1:  # aperture lag must have weight exactly 1
+    # Lags 1..l-1 need weight >= 2. The aperture lag l needs no test: only
+    # the pair (0, l) spans it, so its weight is 1 in every candidate.
+    if twice & full != full:
         return False
     weak = twice & ~thrice & full  # lags of weight exactly 2
     while weak:

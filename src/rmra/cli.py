@@ -317,6 +317,12 @@ def _cmd_analyze(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_catalog(args) -> tuple[dict, dict, int]:
+    family = None
+    if args.family is not None:
+        # accept any case; families are conventionally written mixed-case
+        family = next((f for f in FAMILIES if f.lower() == args.family.lower()), None)
+        if family is None:
+            raise UsageError(f"unknown family {args.family!r}; expected one of {FAMILIES}")
     if args.compare:
         rows = compare_apertures(range(6, 21) if args.n is None else [args.n])
         result = {
@@ -332,12 +338,6 @@ def _cmd_catalog(args) -> tuple[dict, dict, int]:
             ]
         }
         return {"compare": True, "n": args.n}, result, EXIT_OK
-    family = None
-    if args.family is not None:
-        # accept any case; families are conventionally written mixed-case
-        family = next((f for f in FAMILIES if f.lower() == args.family.lower()), None)
-        if family is None:
-            raise UsageError(f"unknown family {args.family!r}; expected one of {FAMILIES}")
     entries = [
         e.to_dict()
         for e in all_entries()

@@ -2,12 +2,13 @@
 
 Prefers the compiled engine, falls back to the pure-Python scanner when the
 extension was not built. Both backends keep the contract of
-:func:`rmra._kernel_py.scan`, ``scan(n, l, start, count, filtered,
-mirror_prune) -> (examined, offset, positions)``: a window of ``count``
-candidates from lexicographic rank ``start``. The compiled engine does its
-own rank arithmetic, so ``scan`` is ``_kernel_c.scan`` itself. The rank
-arithmetic the rest of the package uses, ``_rank_lex`` and ``_unrank_lex``,
-is re-exported from :mod:`rmra._kernel_py`.
+:func:`rmra._kernel_py.scan`, ``scan(n, l, start, count, filtered) ->
+(examined, offset, positions)``: the first valid, mirror-canonical array in
+a window of ``count`` candidates from lexicographic rank ``start``. The
+compiled engine does its own rank arithmetic, so ``scan`` is
+``_kernel_c.scan`` itself. The rank arithmetic the rest of the package
+uses, ``_rank_lex`` and ``_unrank_lex``, is re-exported from
+:mod:`rmra._kernel_py`.
 """
 
 from . import _kernel_py

@@ -264,7 +264,7 @@ def run_stage(
     while lo < size:
         hi = min(lo + chunk, size)
         t1 = time.perf_counter()
-        _, offset, positions = kernel.scan(n, l, lo, hi - lo, filtered, True)
+        _, offset, positions = kernel.scan(n, l, lo, hi - lo, filtered)
         t2 = time.perf_counter()
         if offset >= 0:
             rank = lo + offset

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from rmra.bench import bench_backend, main
 from rmra.kernel import BACKEND, available_backends
 from rmra.search import candidate_count
@@ -40,3 +42,18 @@ def test_bench_search_times_one_run(capsys):
     assert doc["backend"] == BACKEND
     assert doc["seconds"] > 0
     assert (doc["verdict"], doc["optimal_aperture"]) == ("optimal", 9)
+
+
+def test_bench_rejects_a_stage_that_is_not_exhausted():
+    total = candidate_count(6, 8, False)
+    with pytest.raises(RuntimeError, match="unexpectedly contains a valid array"):
+        bench_backend(lambda n, l, start, count, filtered: (1, 0, [0]), 6, 8, False, 1)
+    with pytest.raises(RuntimeError, match=f"scanned {total - 1} of {total} candidates"):
+        bench_backend(lambda n, l, start, count, filtered: (count - 1, -1, None), 6, 8, False, 1)
+
+
+def test_bench_search_prints_text(capsys):
+    assert main(["--search", "7", "--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"search: n=7 backend={BACKEND}"
+    assert len(lines) == 2 and lines[1].endswith(" ms   optimal, aperture 9")

@@ -104,6 +104,19 @@ class TestVerification:
             (check,) = verify_entries([bad]).checks
             assert check.problems == ("bad positions: positions must be strictly increasing",)
 
+    def test_unknown_labels_and_size_mismatch_flagged(self):
+        entry = next(e for e in all_entries() if e.family == "RMRA" and e.n == 7)
+        cases = [
+            (entry._replace(family="nested"), "unknown family 'nested'"),
+            (entry._replace(status="guessed"), "unknown status 'guessed'"),
+            (entry._replace(n=8), "n mismatch: 7 != 8"),
+        ]
+        report = verify_entries([bad for bad, _ in cases])
+        assert len(report.failures) == len(cases)
+        for check, (bad, problem) in zip(report.checks, cases):
+            assert check.entry is bad
+            assert problem in check.problems
+
     def test_wrong_essential_claim_flagged(self):
         bad = CatalogEntry(
             family="2FRA",

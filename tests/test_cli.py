@@ -96,6 +96,14 @@ class TestSearch:
         assert err.splitlines()[-1].startswith(f"error: checkpoint {path} lacks the field")
         assert path.exists()
 
+    def test_checkpoint_that_is_not_a_json_object_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "run.ckpt"
+        path.write_text("[]")
+        code, out, err = run(capsys, "search", "--n", "8", "--checkpoint", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: unreadable checkpoint {path}: not a JSON object\n"
+        assert path.read_text() == "[]"
+
     @pytest.mark.parametrize(
         "field",
         [
@@ -280,6 +288,18 @@ class TestCatalog:
         code, out, _ = run(capsys, "catalog", "--compare")
         assert code == 0
         assert "16 24     47    45    -" in out
+
+    def test_comparison_checks_the_family_too(self, capsys):
+        # an unknown family is the same usage error with or without --compare
+        message = "usage error: unknown family 'nested'; expected one of "
+        for argv in (("--family", "nested"), ("--compare", "--family", "nested")):
+            code, out, err = run(capsys, "catalog", *argv)
+            assert (code, out) == (3, "")
+            assert err.startswith(message)
+        # a known family leaves the comparison as it is
+        assert run(capsys, "catalog", "--compare", "--family", "rmra") == run(
+            capsys, "catalog", "--compare"
+        )
 
     def test_comparison_csv(self, capsys):
         code, out, _ = run(capsys, "catalog", "--compare", "--format", "csv")

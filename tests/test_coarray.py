@@ -187,6 +187,10 @@ class TestIes:
         with pytest.raises(NonPositiveSpacing):
             array_from_ies((1, 0, 2))
 
+    def test_empty_spacing_vector(self):
+        with pytest.raises(EmptyInput, match="empty spacing vector"):
+            array_from_ies([])
+
     @given(arrays)
     def test_round_trip_from_array(self, arr):
         assert array_from_ies(ies_of(arr)).positions == arr.positions

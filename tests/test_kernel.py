@@ -14,7 +14,7 @@ import pytest
 import rmra
 from rmra import _kernel_py, kernel
 from rmra.catalog import all_entries
-from rmra.coarray import SensorArray
+from rmra.coarray import SensorArray, mirror
 from rmra.kernel import BACKEND, _rank_lex, _unrank_lex, available_backends
 from rmra.robustness import rmra_check
 from rmra.search import (
@@ -23,7 +23,10 @@ from rmra.search import (
     candidate_count,
     loses_search,
     rank_candidate,
+    unrank_candidate,
 )
+
+from conftest import TABLE3
 
 BACKENDS = available_backends()
 HAS_C = "c" in BACKENDS
@@ -31,8 +34,36 @@ HAS_C = "c" in BACKENDS
 needs_c = pytest.mark.skipif(not HAS_C, reason="compiled kernel not built")
 
 
-def full_scan(scan, n, l, filtered, mirror):
-    return scan(n, l, 0, candidate_count(n, l, filtered), filtered, mirror)
+def full_scan(scan, n, l, filtered):
+    return scan(n, l, 0, candidate_count(n, l, filtered), filtered)
+
+
+def windowed_scan(scan, n, l, filtered, width=7):
+    """A full stage scanned as consecutive windows of ``width`` candidates,
+    each starting where the last one ended, as ``run_stage`` chunks a stage;
+    returned as one whole-stage call would return it."""
+    size = candidate_count(n, l, filtered)
+    for lo in range(0, size, width):
+        examined, offset, positions = scan(n, l, lo, width, filtered)
+        if offset >= 0:
+            return lo + examined, lo + offset, positions
+    return size, -1, None
+
+
+def oracle(n, l, start, count, filtered):
+    """``scan``'s answer by brute force, sharing no scanning code with either
+    engine: walk the window's candidates in rank order and take the first
+    that ``rmra_check`` passes and that comes no later than its mirror."""
+    k, m, _ = kernel.stage_shape(n, l, filtered)
+    end = min(start + count, math.comb(m, k))
+    for r in range(start, end):
+        if filtered:
+            arr = SensorArray((0, 1, *(v + 2 for v in _unrank_lex(r, m, k)), l - 1, l))
+        else:
+            arr = unrank_candidate(n, l, r)
+        if rmra_check(arr, n, l).overall and arr.positions <= mirror(arr).positions:
+            return r - start + 1, r - start, list(arr.positions)
+    return max(0, end - start), -1, None
 
 
 def test_backend_selected():
@@ -75,13 +106,14 @@ def test_search_on_the_fallback_matches_the_compiled_engine(monkeypatch, filtere
 
 @needs_c
 @pytest.mark.parametrize("filtered", [False, True])
-@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("windowed", [False, True])
 @pytest.mark.parametrize("n,l", [(6, 6), (6, 9), (7, 10), (8, 13), (11, 11), (11, 17)])
-def test_backends_agree_on_full_stages(n, l, filtered, mirror):
-    results = {
-        name: full_scan(scan, n, l, filtered, mirror) for name, scan in BACKENDS.items()
-    }
-    assert results["python"] == results["c"]
+def test_backends_agree_on_full_stages(n, l, windowed, filtered):
+    # One call over the whole stage, or a window of 7 candidates at a time
+    # resumed where the last ended: the same find and prefix count.
+    scan_stage = windowed_scan if windowed else full_scan
+    results = {name: scan_stage(scan, n, l, filtered) for name, scan in BACKENDS.items()}
+    assert results["python"] == results["c"] == full_scan(BACKENDS["c"], n, l, filtered)
 
 
 @needs_c
@@ -89,14 +121,9 @@ def test_backends_agree_on_full_stages(n, l, filtered, mirror):
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
 def test_backends_agree_on_every_stage_up_to_the_pair_budget(n, filtered):
     # Every aperture a search can reach, found and exhausted stages alike.
-    # A full scan's result does not depend on mirror pruning (the stage's
-    # first valid array is mirror-canonical; see
-    # test_mirror_prune_counts_skipped_candidates), so one oracle scan per
-    # stage checks the compiled engine with pruning on and off.
     for l in range(n, aperture_upper_bound(n) + 1):
-        expected = full_scan(BACKENDS["python"], n, l, filtered, True)
-        for mirror in (False, True):
-            assert full_scan(BACKENDS["c"], n, l, filtered, mirror) == expected, (l, mirror)
+        expected = full_scan(BACKENDS["python"], n, l, filtered)
+        assert full_scan(BACKENDS["c"], n, l, filtered) == expected, l
 
 
 @needs_c
@@ -113,14 +140,10 @@ def test_backends_agree_on_windows_at_the_first_valid_array(n, l, filtered):
         windows += [(edge, count) for count in (1, 2, 500)]  # starting at edge
         windows += [(edge - count + 1, count) for count in (1, 2, 500)]  # ending at edge
     for start, count in windows:
-        for mirror in (False, True):
-            out = {
-                name: scan(n, l, start, count, filtered, mirror)
-                for name, scan in BACKENDS.items()
-            }
-            assert out["python"] == out["c"], (start, count, mirror)
-            found_at = start + out["c"][1] if out["c"][1] >= 0 else None
-            assert (found_at == r) == (start <= r < start + count)
+        out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
+        assert out["python"] == out["c"], (start, count)
+        found_at = start + out["c"][1] if out["c"][1] >= 0 else None
+        assert (found_at == r) == (start <= r < start + count)
 
 
 @needs_c
@@ -133,12 +156,8 @@ def test_backends_agree_on_random_ranges():
         size = candidate_count(n, l, filtered)
         start = rng.randrange(size)
         count = rng.randint(1, size - start)
-        mirror = rng.random() < 0.5
-        out = {
-            name: scan(n, l, start, count, filtered, mirror)
-            for name, scan in BACKENDS.items()
-        }
-        assert out["python"] == out["c"]
+        out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
+        assert out["python"] == out["c"], (n, l, filtered, start, count)
 
 
 @needs_c
@@ -147,8 +166,8 @@ def test_backends_agree_across_the_word_boundary():
     # its switches from one-word (l <= 63) to two-word (l <= 127) and from
     # two-word to four-word (l <= 255) bitsets. Random windows there hold no
     # valid array, so the catalog arrays at apertures 61-66 (near-optimal, 19
-    # and 20 sensors) add two-word windows that end in a find, and windows
-    # that end in their mirrors.
+    # and 20 sensors) add two-word windows around them and their mirrors:
+    # the mirror-canonical one of each pair ends its window in a find.
     rng = random.Random(6364)
     windows = []
     for lo, hi in ((60, 90), (120, 135)):
@@ -166,21 +185,20 @@ def test_backends_agree_across_the_word_boundary():
             windows.append((n, l, False, max(0, rank_candidate(n, l, arr) - 700), 1000))
     assert {l <= 63 for _, l, *_ in windows} == {True, False}
     assert {l <= 127 for _, l, *_ in windows} == {True, False}
-    finds = set()
+    two_word_finds = 0
     for n, l, filtered, start, count in windows:
-        for mirror in (False, True):
-            out = {
-                name: scan(n, l, start, count, filtered, mirror)
-                for name, scan in BACKENDS.items()
-            }
-            assert out["python"] == out["c"], (n, l, filtered, start, count, mirror)
-            if l > 63 and out["c"][1] >= 0:
-                finds.add(mirror)
-    assert finds == {False, True}  # two-word finds, with and without pruning
+        out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
+        assert out["python"] == out["c"], (n, l, filtered, start, count)
+        two_word_finds += l > 63 and out["c"][1] >= 0
+    assert two_word_finds
 
 
-# A valid array past 64-bit ranks on the two-word path: six interior sensors
-# added to the 21-sensor, aperture-79 array, then mirrored.
+# The first valid array of stage 27/79 (two-word, C(78, 25) > 2**64
+# candidates), at a 22-bit rank.
+F27 = (*range(21), 36, 37, 57, 58, 78, 79)
+# A valid array at a 65-bit rank of the same stage: six interior sensors
+# added to the 21-sensor, aperture-79 array, then mirrored. Its mirror comes
+# first.
 N27 = (0, 1, 4, 5, 8, 9, 16, 17, 19, 23, 24, 25, 27, 29, 31, 32, 41, 45, 47,
        64, 65, 66, 67, 76, 77, 78, 79)  # fmt: skip
 # The first valid array of stage 36/128 (four-word), at a 34-bit rank; its
@@ -191,23 +209,31 @@ N36 = (*range(28), 39, 57, 68, 80, 99, 108, 127, 128)
 @needs_c
 @pytest.mark.parametrize(
     "positions,bits,canonical",
-    [(N27, 65, False), (N36, 34, True), (tuple(128 - p for p in reversed(N36)), 101, False)],
-    ids=["27-79", "36-128", "36-128-mirror"],
+    [
+        (F27, 22, True),
+        (N27, 65, False),
+        (N36, 34, True),
+        (tuple(128 - p for p in reversed(N36)), 101, False),
+    ],
+    ids=["27-79-first", "27-79", "36-128", "36-128-mirror"],
 )
 def test_backends_agree_on_finds_at_wide_ranks(positions, bits, canonical):
-    # The engine unranks the window and ranks the find in 192-bit words; a
-    # carry or borrow lost past the low word would move the find. Mirror
-    # pruning skips an array whose mirror comes first.
+    # The engine unranks the window and ranks the find in 192-bit words, and
+    # the stage sizes here pass 2**64; a carry or borrow lost past the low
+    # word would move the find. An array whose mirror comes first is skipped,
+    # so windows around the non-canonical arrays hold no find. (A narrow
+    # window deep in a large stage can cost the engine seconds or minutes, so
+    # these windows stay near ranks it reaches quickly.)
     n, l = len(positions), positions[-1]
-    assert rmra_check(SensorArray(positions), n, l).overall
+    arr = SensorArray(positions)
+    assert rmra_check(arr, n, l).overall
+    assert (arr.positions <= mirror(arr).positions) == canonical
     r = rank_candidate(n, l, positions)
     assert r.bit_length() == bits
     for start, count in ((r - 200, 400), (r, 1)):
-        out = {name: scan(n, l, start, count, False, False) for name, scan in BACKENDS.items()}
-        assert out["python"] == out["c"] == (r - start + 1, r - start, list(positions))
-    pruned = {name: scan(n, l, r - 200, 400, False, True) for name, scan in BACKENDS.items()}
-    assert pruned["python"] == pruned["c"]
-    assert (pruned["c"][1] == 200) == canonical
+        out = {name: scan(n, l, start, count) for name, scan in BACKENDS.items()}
+        found = (r - start + 1, r - start, list(positions))
+        assert out["python"] == out["c"] == (found if canonical else (count, -1, None))
 
 
 @needs_c
@@ -221,7 +247,7 @@ def test_backends_agree_on_the_141_bit_stage_end(filtered):
     size = candidate_count(n, l, filtered)
     assert size.bit_length() == (135 if filtered else 141)
     for start, count in ((size - 500, 500), (size - 500, 10**6), (size - 1, 2**200)):
-        out = {name: scan(n, l, start, count, filtered, True) for name, scan in BACKENDS.items()}
+        out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
         assert out["python"] == out["c"] == (size - start, -1, None), (start, count)
 
 
@@ -238,12 +264,8 @@ def test_backends_agree_on_windows_past_the_stage_end():
         size = candidate_count(n, l, filtered)
         start = rng.randrange(max(0, size - 2000), size)
         count = size - start + rng.randint(1, 10**6)
-        mirror = rng.random() < 0.5
-        out = {
-            name: scan(n, l, start, count, filtered, mirror)
-            for name, scan in BACKENDS.items()
-        }
-        assert out["python"] == out["c"], (n, l, filtered, start, mirror)
+        out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
+        assert out["python"] == out["c"], (n, l, filtered, start)
         examined, offset, _ = out["c"]
         assert examined == (offset + 1 if offset >= 0 else size - start)
 
@@ -254,44 +276,56 @@ def test_backends_agree_on_windows_past_the_stage_end():
 )
 def test_backends_agree_on_exhausted_reference_stages(n, l, filtered, size):
     # the exhaustion proofs of the 11- and 12-sensor optima, as searches scan them
-    results = {name: full_scan(scan, n, l, filtered, True) for name, scan in BACKENDS.items()}
+    results = {name: full_scan(scan, n, l, filtered) for name, scan in BACKENDS.items()}
     assert results["python"] == results["c"] == (size, -1, None)
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_single_candidate_matches_reference_checker(name):
-    # scanning one candidate is exactly the validity verdict
+    # scanning one candidate finds it iff it is valid and mirror-canonical
     scan = BACKENDS[name]
     rng = random.Random(4242)
+    windows = []
     for _ in range(300):
         n = rng.randint(6, 10)
         l = rng.randint(n, n + 8)
-        size = candidate_count(n, l, False)
-        idx = rng.randrange(size)
-        examined, offset, positions = scan(n, l, idx, 1, False, False)
+        windows.append((n, l, rng.randrange(candidate_count(n, l, False))))
+    # valid arrays and their mirrors, so both verdicts of a valid array occur
+    for positions in TABLE3.values():
+        n, l = len(positions), positions[-1]
+        for arr in (SensorArray(positions), mirror(SensorArray(positions))):
+            windows.append((n, l, rank_candidate(n, l, arr)))
+    verdicts = set()
+    for n, l, idx in windows:
+        examined, offset, positions = scan(n, l, idx, 1)
         assert examined == 1
-        arr = SensorArray((0, *(v + 1 for v in _unrank_lex(idx, l - 1, n - 2)), l))
-        expected = rmra_check(arr, n, l).overall
-        assert (offset == 0) == expected
+        arr = unrank_candidate(n, l, idx)
+        valid = rmra_check(arr, n, l).overall
+        expected = valid and arr.positions <= mirror(arr).positions
+        assert (offset == 0) == expected, arr.positions
         if expected:
             assert tuple(positions) == arr.positions
+        verdicts.add((valid, expected))
+    assert verdicts == {(False, False), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_mirror_prune_counts_skipped_candidates(name):
-    # The first valid array of a stage is mirror-canonical, so pruning never
-    # changes a full scan: a find keeps its offset and array, and an exhausted
-    # stage still counts every candidate, skipped mirrors included.
+    # A stage's first valid array is mirror-canonical, so skipping arrays
+    # whose mirror comes first never changes a full scan: it equals the
+    # brute-force oracle, a find with its offset and array, and an exhausted
+    # stage counts every candidate, skipped mirrors included.
     scan = BACKENDS[name]
-    stages = [(6, 6), (6, 9), (7, 9), (8, 12), (8, 13), (9, 15), (10, 19), (11, 22)]
+    stages = [(6, 6), (6, 9), (7, 9), (7, 10), (8, 12), (8, 13), (9, 15), (10, 19), (11, 22)]
     outcomes = set()
     for filtered in (False, True):
         for n, l in stages:
-            plain = full_scan(scan, n, l, filtered, False)
-            assert full_scan(scan, n, l, filtered, True) == plain, (n, l, filtered)
-            if plain[1] == -1:
-                assert plain[0] == candidate_count(n, l, filtered)
-            outcomes.add(plain[1] == -1)
+            size = candidate_count(n, l, filtered)
+            result = full_scan(scan, n, l, filtered)
+            assert result == oracle(n, l, 0, size, filtered), (n, l, filtered)
+            if result[1] == -1:
+                assert result[0] == size
+            outcomes.add(result[1] == -1)
     assert outcomes == {False, True}  # both found and exhausted stages covered
 
 
@@ -303,21 +337,33 @@ def test_engine_counts_a_138_bit_window_exactly():
     # `examined` needs all three words of a rank. Only the count can be
     # checked; the pure-Python scanner would visit each candidate.
     start = math.comb(251, 33)
-    assert BACKENDS["c"](36, 253, start, 2**200, False, True) == (math.comb(251, 34), -1, None)
-    assert BACKENDS["c"](36, 253, start, 2**137 + 5, False, True) == (2**137 + 5, -1, None)
+    assert BACKENDS["c"](36, 253, start, 2**200) == (math.comb(251, 34), -1, None)
+    assert BACKENDS["c"](36, 253, start, 2**137 + 5) == (2**137 + 5, -1, None)
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_guards(name):
     scan = BACKENDS[name]
     with pytest.raises(ValueError):
-        scan(3, 10, 0, 1, False, False)  # n too small
+        scan(3, 10, 0, 1, False)  # n too small
     with pytest.raises(ValueError):
-        scan(6, 5, 0, 1, False, False)  # l < n
+        scan(6, 5, 0, 1, False)  # l < n
     with pytest.raises(ValueError):
-        scan(6, 300, 0, 1, False, False)  # aperture beyond buffers
+        scan(6, 300, 0, 1, False)  # aperture beyond buffers
 
-    assert scan(6, 9, 0, 0, False, False) == (0, -1, None)
+    assert scan(6, 9, 0, 0, False) == (0, -1, None)
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_scan_has_no_mirror_switch(name):
+    # Skipping arrays whose mirror comes first is the engines' rule, not an
+    # option: scan(n, l, start, count, filtered) takes nothing more.
+    scan = BACKENDS[name]
+    with pytest.raises(TypeError):
+        scan(6, 9, 0, 1, False, True)
+    with pytest.raises(TypeError):
+        scan(6, 9, 0, 1, mirror_prune=True)
+    assert scan(6, 9, 0, 1, filtered=True) == scan(6, 9, 0, 1, True)
 
 
 @needs_c
@@ -341,10 +387,10 @@ def test_backends_reject_the_same_bad_windows(filtered):
     for start, count, error in bad:
         for scan in BACKENDS.values():
             with pytest.raises(error):
-                scan(n, l, start, count, filtered, False)
+                scan(n, l, start, count, filtered)
     for count in (0, -1, -(2**70)):
         for start in (0, size - 1):
-            out = {name: scan(n, l, start, count, filtered, True) for name, scan in BACKENDS.items()}
+            out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
             assert out["python"] == out["c"] == (0, -1, None)
 
 
@@ -352,9 +398,9 @@ def test_backends_reject_the_same_bad_windows(filtered):
 def test_count_beyond_64_bits_scans_to_the_stage_end(name):
     scan = BACKENDS[name]
     size = candidate_count(6, 9, False)
-    assert scan(6, 9, 0, 2**70, False, False) == (size, -1, None)
-    assert scan(6, 9, 0, 2**300, False, False) == (size, -1, None)
-    assert scan(6, 9, 0, -(2**70), False, False) == (0, -1, None)
+    assert scan(6, 9, 0, 2**70) == (size, -1, None)
+    assert scan(6, 9, 0, 2**300) == (size, -1, None)
+    assert scan(6, 9, 0, -(2**70)) == (0, -1, None)
 
 
 def test_rank_lex_round_trips_past_141_bits():

@@ -321,6 +321,10 @@ class TestChecks:
         assert not check_failure_robustness(FRA2_13)
         assert not check_failure_robustness(SensorArray((0, 1, 2)))
 
+    def test_healthy_weights_needs_three_sensors(self):
+        with pytest.raises(ValueError, match="three sensors"):
+            check_healthy_weights(SensorArray((0, 5)))
+
     def test_failure_robustness_needs_three_sensors(self):
         with pytest.raises(ValueError, match="three sensors"):
             check_failure_robustness(SensorArray((0, 5)))

@@ -246,6 +246,13 @@ class TestChunkLoop:
         assert res.outcome is StageOutcome.EXHAUSTED
         assert sizes == [c, 2 * c, 4 * c, 2 * c, c]  # the last chunk ends at the stage end
 
+    def test_start_index_past_the_stage_end_is_an_error(self):
+        cfg = SearchConfig(n=8, prune_filters=False)
+        size = candidate_count(8, 13, False)
+        assert run_stage(8, 13, cfg, start_index=size).candidates_examined == size
+        with pytest.raises(ValueError, match="start_index beyond stage size"):
+            run_stage(8, 13, cfg, start_index=size + 1)
+
 
 class TestCheckpoints:
     def test_save_load_round_trip(self, tmp_path):
