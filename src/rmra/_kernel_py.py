@@ -12,9 +12,9 @@ arithmetic chain a, a+m, a+2m — detected as ``P & (P >> m) & (P >> 2m)``.
 Lags of weight three or more survive any single failure because one sensor
 can sit in at most two pairs of the same lag.
 
-The module also holds the lexicographic rank arithmetic, ``_rank_lex`` and
-``_unrank_lex``: the reference the compiled engine's own ranks are checked
-against, and what :mod:`rmra.search` ranks candidates with.
+The module also numbers a stage's candidates, ``stage_shape``, ``_rank_lex``
+and ``_unrank_lex``: the reference the compiled engine's own ranks are
+checked against, and what :mod:`rmra.search` numbers candidates with.
 """
 
 import math
@@ -24,15 +24,13 @@ MAX_N = 36
 MAX_L = 255
 
 
-def _setup(n: int, l: int, filtered: bool) -> tuple[int, int, int]:
-    """(k, base, m): interior choose k from {base, ..., base+m-1}."""
-    if not 4 <= n <= MAX_N:
-        raise ValueError(f"sensor count {n} outside supported range 4..{MAX_N}")
-    if not n <= l <= MAX_L:
-        raise ValueError(f"aperture {l} outside supported range {n}..{MAX_L}")
-    if filtered:
-        return n - 4, 2, l - 3
-    return n - 2, 1, l - 1
+def stage_shape(n: int, l: int, filtered: bool) -> tuple[int, int, int]:
+    """(k, m, base): stage (n, l)'s candidates choose k sensors from the m grid
+    points base..base+m-1 in lexicographic order; the points outside them are
+    pinned: 0 and l, and 1 and l-1 as well when ``filtered``."""
+    if n < 4 or l < n:
+        raise ValueError("need l >= n >= 4")
+    return (n - 4, l - 3, 2) if filtered else (n - 2, l - 1, 1)
 
 
 def _unrank_lex(index: int, m: int, k: int) -> list[int]:
@@ -84,7 +82,11 @@ def scan(
     lies in the same stage, so a stage's first valid array is always
     mirror-canonical and the skip never changes it.
     """
-    k, base, m = _setup(n, l, filtered)
+    if not 4 <= n <= MAX_N:
+        raise ValueError(f"sensor count {n} outside supported range 4..{MAX_N}")
+    if not n <= l <= MAX_L:
+        raise ValueError(f"aperture {l} outside supported range {n}..{MAX_L}")
+    k, m, base = stage_shape(n, l, filtered)
     if not isinstance(start, int):
         raise TypeError(f"start must be an int, not {type(start).__name__}")
     if not 0 <= start < math.comb(m, k):
@@ -95,8 +97,8 @@ def scan(
         return 0, -1, None
     c = _unrank_lex(start, m, k)
 
-    head = (0, 1) if filtered else (0,)
-    tail = (l - 1, l) if filtered else (l,)
+    head = tuple(range(base))
+    tail = tuple(range(l + 1 - base, l + 1))
     full = (1 << l) - 2  # lags 1..l-1
     examined = 0
     while True:

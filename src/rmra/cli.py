@@ -71,10 +71,15 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("search", help="staged exhaustive search for the widest valid array")
-    ps.add_argument("--n", type=int, required=True, help="sensor count (>= 6)")
+    ps.add_argument("--n", type=int, required=True, help="sensor count (6..36)")
     ps.add_argument("--l-start", type=int, default=None)
     ps.add_argument("--l-limit", type=int, default=None)
-    ps.add_argument("--no-filters", action="store_true", help="disable sound pruning filters")
+    ps.add_argument(
+        "--no-filters",
+        action="store_true",
+        help="number candidates with only the endpoints pinned, not 1 and L-1 as well"
+        " (counts change, results do not)",
+    )
     ps.add_argument(
         "--deterministic",
         action="store_true",

@@ -7,12 +7,12 @@ stops at the first valid array ("leap on success"). A found stage advances
 the aperture by one; a stage that exhausts without success proves the
 previous stage's array optimal.
 
-Two sound necessary-condition filters can shrink a stage without changing
-its verdict: grid points 1 and l-1 must be occupied in any valid array
-(the lag l-1 needs two generating pairs and only (0, l-1) and (1, l) exist),
-and validity is mirror-invariant, so mirror-canonical candidates suffice.
-Filters never change whether a stage is found or exhausted, only how much
-work proves it.
+Filtering also pins grid points 1 and l-1, which every valid array holds
+(only (0, l-1) and (1, l) generate the lag l-1). It changes how a stage's
+candidates are numbered, so the counts a run reports, never a verdict or an
+array. Nor does it save the compiled engine work: its final-lag rule cuts
+every placement without 1 or l-1 at depth two. Only the pure-Python scanner,
+which tests each candidate, does several times more work unfiltered.
 
 There is one search mode. Every stage reports its lexicographically first
 valid array and the prefix count needed to reach it, whether or not the
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import kernel
-from .kernel import _rank_lex, _unrank_lex
+from .kernel import _rank_lex, _unrank_lex, stage_shape
 from .coarray import SensorArray, _Frozen
 
 __all__ = [
@@ -85,7 +85,8 @@ class SearchConfig(_Frozen):
 
     The run tries apertures ``l_start`` (default n) upward, one per found
     stage; ``l_limit`` is the only cap, and a run it stops ends near-optimal.
-    ``prune_filters`` pins grid points 1 and l-1 (see :func:`candidate_count`).
+    ``prune_filters`` pins grid points 1 and l-1 in each stage's numbering
+    (see :func:`candidate_count`): it changes the counts, not the results.
     """
 
     __slots__ = ("n", "l_start", "l_limit", "prune_filters", "checkpoint_path")
@@ -108,11 +109,15 @@ class SearchConfig(_Frozen):
             object.__setattr__(self, name, value)
         if self.n < 6:
             raise InvalidConfig("searches start at 6 sensors (smallest valid array)")
+        if self.n > kernel.MAX_N:
+            raise InvalidConfig(f"searches take at most {kernel.MAX_N} sensors (engine limit)")
         if self.l_start is not None and self.l_start < self.n:
             raise InvalidConfig("l_start must be at least n")
         start = self.effective_l_start()
         if start > aperture_upper_bound(self.n):
             raise InvalidConfig("l_start exceeds the aperture upper bound")
+        if start > kernel.MAX_L:
+            raise InvalidConfig(f"l_start exceeds {kernel.MAX_L} (engine limit)")
         if self.l_limit is not None and self.l_limit < start:
             raise InvalidConfig("l_limit must be at least the starting aperture")
 
@@ -209,19 +214,17 @@ def candidate_count(n: int, l: int, filtered: bool = False) -> int:
     Unfiltered, n-2 sensors go anywhere in 1..l-1. The filtered count also
     pins grid points 1 and l-1 (forced by the weight of lag l-1).
     """
-    if n < 4 or l < n:
-        raise ValueError("need l >= n >= 4")
-    k, m, _ = kernel.stage_shape(n, l, filtered)
+    k, m, _ = stage_shape(n, l, filtered)
     return math.comb(m, k)
 
 
 def unrank_candidate(n: int, l: int, index: int) -> SensorArray:
     """The index-th candidate of the unfiltered stage (n, l)."""
-    total = candidate_count(n, l, False)
+    k, m, base = stage_shape(n, l, False)
+    total = math.comb(m, k)
     if not 0 <= index < total:
         raise IndexOutOfRange(f"index {index} outside 0..{total - 1}")
-    combo = _unrank_lex(index, l - 1, n - 2)
-    return SensorArray((0, *(v + 1 for v in combo), l))
+    return SensorArray((0, *(v + base for v in _unrank_lex(index, m, k)), l))
 
 
 def rank_candidate(n: int, l: int, arr: SensorArray | Sequence[int]) -> int:
@@ -229,18 +232,19 @@ def rank_candidate(n: int, l: int, arr: SensorArray | Sequence[int]) -> int:
     pos = tuple(arr.positions if isinstance(arr, SensorArray) else arr)
     if len(pos) != n or pos[0] != 0 or pos[-1] != l:
         raise ValueError(f"not a candidate of stage (n={n}, l={l}): {list(pos)}")
-    return _rank_lex([p - 1 for p in pos[1:-1]], l - 1, n - 2)
+    k, m, base = stage_shape(n, l, False)
+    return _rank_lex([p - base for p in pos[1:-1]], m, k)
 
 
 def run_stage(
     n: int,
     l: int,
-    cfg: SearchConfig,
+    filtered: bool,
     *,
     start_index: int = 0,
     on_progress: Callable[[int], None] | None = None,
 ) -> StageResult:
-    """Scan one aperture's candidates; stop at the first valid array.
+    """Scan stage (n, l), numbered as ``filtered`` says; stop at the first valid array.
 
     Chunks run in rank order on the calling thread, so the first find is the
     lexicographic first. A chunk's cost follows the pruned search tree, not
@@ -256,7 +260,6 @@ def run_stage(
     counts then equal those of an uninterrupted run.
     """
     t0 = time.perf_counter()
-    filtered = cfg.prune_filters
     size = candidate_count(n, l, filtered)
     if start_index > size:
         raise ValueError("start_index beyond stage size")
@@ -443,7 +446,9 @@ def loses_search(
                 l=l, outcome=StageOutcome.EXHAUSTED, candidates_examined=0, elapsed=0.0
             )
         else:
-            result = run_stage(cfg.n, l, cfg, start_index=start_index, on_progress=save)
+            result = run_stage(
+                cfg.n, l, cfg.prune_filters, start_index=start_index, on_progress=save
+            )
         stages.append(result)
         start_index = 0
         if on_stage is not None:

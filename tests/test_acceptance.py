@@ -218,17 +218,12 @@ def test_criterion_7c_essential_oracle_exhaustive():
 def test_criterion_7d_filtered_verdicts_match_unfiltered():
     """Stage verdicts agree with filters on and off for every stage of at
     most 100k candidates."""
-    cfg_u = {}
-    cfg_f = {}
-    for n in range(6, 21):
-        cfg_u[n] = SearchConfig(n=n, prune_filters=False)
-        cfg_f[n] = SearchConfig(n=n, prune_filters=True)
     pairs = 0
     for n in range(6, 21):
         l = n
         while candidate_count(n, l, False) <= 100_000:
-            plain = run_stage(n, l, cfg_u[n])
-            pruned = run_stage(n, l, cfg_f[n])
+            plain = run_stage(n, l, False)
+            pruned = run_stage(n, l, True)
             assert plain.outcome == pruned.outcome, (n, l)
             if plain.outcome is StageOutcome.FOUND:
                 assert plain.array.positions == pruned.array.positions

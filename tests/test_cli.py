@@ -146,6 +146,17 @@ class TestSearch:
         assert run(capsys, "search", "--n", "5")[0] == 3
         assert run(capsys, "search", "--n", "11", "--l-start", "25", "--l-limit", "20")[0] == 3
         assert run(capsys, "search")[0] == 3
+        # the engines' limits are refused with the configuration, before a stage runs
+        assert run(capsys, "search", "--n", "37") == (
+            3,
+            "",
+            "usage error: searches take at most 36 sensors (engine limit)\n",
+        )
+        assert run(capsys, "search", "--n", "36", "--l-start", "256") == (
+            3,
+            "",
+            "usage error: l_start exceeds 255 (engine limit)\n",
+        )
 
     def test_none_found_exit_code(self, capsys):
         code, out, err = run(capsys, "search", "--n", "6", "--l-start", "8")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import rmra
 from rmra import _kernel_py, kernel
 from rmra.catalog import all_entries
 from rmra.coarray import SensorArray, mirror
-from rmra.kernel import BACKEND, _rank_lex, _unrank_lex, available_backends
+from rmra.kernel import BACKEND, _rank_lex, _unrank_lex
 from rmra.robustness import rmra_check
 from rmra.search import (
     SearchConfig,
@@ -28,7 +29,9 @@ from rmra.search import (
 
 from conftest import TABLE3
 
-BACKENDS = available_backends()
+BACKENDS = {"python": _kernel_py.scan}
+if kernel._kernel_c is not None:
+    BACKENDS["c"] = kernel._kernel_c.scan
 HAS_C = "c" in BACKENDS
 
 needs_c = pytest.mark.skipif(not HAS_C, reason="compiled kernel not built")
@@ -344,14 +347,37 @@ def test_engine_counts_a_138_bit_window_exactly():
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_guards(name):
     scan = BACKENDS[name]
-    with pytest.raises(ValueError):
-        scan(3, 10, 0, 1, False)  # n too small
-    with pytest.raises(ValueError):
-        scan(6, 5, 0, 1, False)  # l < n
-    with pytest.raises(ValueError):
-        scan(6, 300, 0, 1, False)  # aperture beyond buffers
+    # both engines check their own ranges, with the same messages
+    cases = [
+        (3, 10, "sensor count 3 outside supported range 4..36"),
+        (37, 40, "sensor count 37 outside supported range 4..36"),
+        (6, 5, "aperture 5 outside supported range 6..255"),
+        (6, 300, "aperture 300 outside supported range 6..255"),  # beyond the buffers
+        (36, 256, "aperture 256 outside supported range 36..255"),
+    ]
+    for n, l, message in cases:
+        with pytest.raises(ValueError) as info:
+            scan(n, l, 0, 1, False)
+        assert str(info.value) == message
 
     assert scan(6, 9, 0, 0, False) == (0, -1, None)
+
+
+def test_one_definition_numbers_every_stage():
+    assert kernel.stage_shape is _kernel_py.stage_shape
+    package = Path(rmra.__file__).resolve().parent
+    defining = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if re.search(r"^def (stage_shape|_setup)\b", path.read_text(), re.M)
+    ]
+    assert defining == ["_kernel_py.py"]
+    assert kernel.stage_shape(11, 23, False) == (9, 22, 1)
+    assert kernel.stage_shape(11, 23, True) == (7, 20, 2)
+    assert kernel.stage_shape(40, 300, False) == (38, 299, 1)  # past the engines' range
+    for n, l in ((3, 5), (8, 7)):
+        with pytest.raises(ValueError, match="need l >= n >= 4"):
+            kernel.stage_shape(n, l, False)
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))

@@ -19,6 +19,7 @@ from rmra.robustness import rmra_check
 from rmra.search import (
     CorruptCheckpoint,
     IndexOutOfRange,
+    InvalidConfig,
     SearchConfig,
     StageOutcome,
     Verdict,
@@ -107,28 +108,25 @@ class TestRankUnrank:
 
 class TestRunStage:
     def test_first_stage_eleven(self):
-        cfg = SearchConfig(n=11)
-        res = run_stage(11, 11, cfg)
+        res = run_stage(11, 11, True)
         assert res.outcome is StageOutcome.FOUND
         assert res.array.positions == TABLE4[0]
         assert res.candidate_index == 1  # unfiltered rank, whatever the filters
 
     def test_first_stage_six(self):
-        res = run_stage(6, 6, SearchConfig(n=6))
+        res = run_stage(6, 6, True)
         assert res.outcome is StageOutcome.FOUND
         assert res.array.positions == (0, 1, 2, 3, 5, 6)
 
     def test_exhausted_stage_count(self):
-        cfg = SearchConfig(n=11, prune_filters=False)
-        res = run_stage(11, 23, cfg)
+        res = run_stage(11, 23, False)
         assert res.outcome is StageOutcome.EXHAUSTED
         assert res.candidates_examined == 497420
 
     def test_found_stages_pass_reference_checker(self):
         for n in (6, 7, 8):
-            cfg = SearchConfig(n=n)
             for l in range(n, OPTIMAL_APERTURES[n] + 1):
-                res = run_stage(n, l, cfg)
+                res = run_stage(n, l, True)
                 assert res.outcome is StageOutcome.FOUND
                 assert rmra_check(res.array, n, l).overall
 
@@ -198,6 +196,12 @@ class TestLosesSearch:
             SearchConfig(n=6, l_start=9)  # beyond the pair-budget bound
         with pytest.raises(ValueError):
             SearchConfig(n=6, l_start=7, l_limit=6)
+        # the engines' limits are checked before any stage runs
+        SearchConfig(n=kernel.MAX_N, l_start=kernel.MAX_L)
+        with pytest.raises(InvalidConfig, match="at most 36 sensors"):
+            SearchConfig(n=kernel.MAX_N + 1)
+        with pytest.raises(InvalidConfig, match="l_start exceeds 255"):
+            SearchConfig(n=kernel.MAX_N, l_start=kernel.MAX_L + 1)
 
 
 class TestChunkLoop:
@@ -211,9 +215,8 @@ class TestChunkLoop:
             return scan(n, l, start, count, *args)
 
         monkeypatch.setattr(kernel, "scan", recording)
-        cfg = SearchConfig(n=11, prune_filters=False)
         frontiers = []
-        res = run_stage(11, 23, cfg, on_progress=frontiers.append)
+        res = run_stage(11, 23, False, on_progress=frontiers.append)
         assert res.outcome is StageOutcome.EXHAUSTED
         size = candidate_count(11, 23, False)
         # chunks tile the stage; one report per confirmed chunk, at its end,
@@ -241,24 +244,22 @@ class TestChunkLoop:
         monkeypatch.setattr(search.time, "perf_counter", lambda: clock[0])
         c = search._FIRST_CHUNK
         size = candidate_count(12, 27, False)
-        cfg = SearchConfig(n=12, prune_filters=False)
-        res = run_stage(12, 27, cfg, start_index=size - 10 * c)
+        res = run_stage(12, 27, False, start_index=size - 10 * c)
         assert res.outcome is StageOutcome.EXHAUSTED
         assert sizes == [c, 2 * c, 4 * c, 2 * c, c]  # the last chunk ends at the stage end
 
     def test_start_index_past_the_stage_end_is_an_error(self):
-        cfg = SearchConfig(n=8, prune_filters=False)
         size = candidate_count(8, 13, False)
-        assert run_stage(8, 13, cfg, start_index=size).candidates_examined == size
+        assert run_stage(8, 13, False, start_index=size).candidates_examined == size
         with pytest.raises(ValueError, match="start_index beyond stage size"):
-            run_stage(8, 13, cfg, start_index=size + 1)
+            run_stage(8, 13, False, start_index=size + 1)
 
 
 class TestCheckpoints:
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "run.ckpt"
         cfg = SearchConfig(n=11)
-        stage = run_stage(11, 11, cfg)
+        stage = run_stage(11, 11, cfg.prune_filters)
         checkpoint_save(
             path, n=11, l=12, next_index=0, stages=[stage], filters=cfg.filter_signature()
         )

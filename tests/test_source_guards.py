@@ -9,9 +9,13 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
+
+import pytest
 
 import rmra
 from rmra.cli import build_parser
@@ -167,3 +171,20 @@ def test_no_module_imports_dataclasses():
             if any(name.split(".")[0] == "dataclasses" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_compiled_kernel_builds_without_warnings(tmp_path):
+    # setup.py turns a failed compile into a warning and the pure-Python
+    # fallback, so a warning that becomes an error on another compiler would
+    # go unnoticed. The engine is plain C99 and compiles cleanly.
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    if shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler")
+    flags = ["-std=c99", "-O2", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-fPIC"]
+    proc = subprocess.run(
+        [*cc, *flags, f"-I{sysconfig.get_paths()['include']}", "-c"]
+        + [str(PACKAGE / "_kernel_c.c"), "-o", str(tmp_path / "_kernel_c.o")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
