@@ -11,6 +11,10 @@ import warnings
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
+# The engine's compiler flags. tests/test_source_guards.py reads them from
+# here and compiles the engine with them under -Werror.
+EXTRA_COMPILE_ARGS = ["-O3"]
+
 
 class optional_build_ext(build_ext):
     """Swallow C compiler failures; the pure-Python kernel takes over."""
@@ -24,7 +28,9 @@ class optional_build_ext(build_ext):
 
 setup(
     ext_modules=[
-        Extension("rmra._kernel_c", ["src/rmra/_kernel_c.c"], extra_compile_args=["-O3"])
+        Extension(
+            "rmra._kernel_c", ["src/rmra/_kernel_c.c"], extra_compile_args=EXTRA_COMPILE_ARGS
+        )
     ],
     cmdclass={"build_ext": optional_build_ext},
 )

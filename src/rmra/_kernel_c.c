@@ -3,8 +3,9 @@
  * scan(n, l, start, count, filtered=False) keeps the contract of
  * rmra._kernel_py.scan: the window is the count candidates of stage (n, l)
  * from lexicographic rank start onwards (cut at the stage end), and it
- * returns (examined, offset, positions) for the first valid array in the
- * window that is mirror-canonical, or (examined, -1, None). An array whose
+ * returns (examined, offset, positions, index) for the first valid array in
+ * the window that is mirror-canonical, where index is its rank in the
+ * unfiltered numbering, or (examined, -1, None, None). An array whose
  * mirror comes first is skipped: validity is mirror-invariant and the mirror
  * lies in the same stage, so a stage's first valid array is always
  * mirror-canonical and skipping never changes it. The engine unranks the
@@ -23,9 +24,16 @@
  *    the second on their lag are wasted, and the waste exceeds the
  *    C(n,2)-1-2(l-1) pairs a valid array can spare (waste never falls);
  *  - lex window: the decided left part 0..j puts every array below the node
- *    before the window's first combination or after its last.
+ *    before the window's first combination or after its last. Each node
+ *    carries two flags, whether its left part still equals the first's or
+ *    the last's on 0..j; only a tied part can leave the window, and only
+ *    where the next left point differs from that end, so a left decision
+ *    costs two bit tests and a right one, which leaves the left part as it
+ *    was, none.
  * A valid leaf inside the window becomes the window's last combination (the
- * lex cut), so the search ends on the first valid array in lex order.
+ * lex cut), so the search ends on the first valid array in lex order. The
+ * find lies below every node on the path to it, so each of them ties the
+ * new last combination from then on.
  *
  * The sensors placed so far keep the lags of their pairs as once/twice/thrice
  * bitmasks (lags of weight >= 1, 2, 3), the bitmap method of Golomb-ruler
@@ -34,9 +42,12 @@
  * to those below are R >> (W-1-x), where R holds the same sensors
  * bit-reversed in a W-bit set. Bitsets are one 64-bit word for l <= 63, two
  * for l <= 127 and four for l <= 255; search1, search2 and search4 pin the
- * width to a constant so the compiler specialises each. Everything the
- * search touches lives on the calling thread's stack, so threads may run it
- * at once.
+ * width to a constant so the compiler specialises each. On x86-64 they are
+ * compiled for POPCNT, which counts a word's bits for the pair budget in one
+ * instruction (libgcc's routine otherwise); the module will not load on a
+ * CPU without it, and rmra.kernel falls back to the pure-Python scanner.
+ * Everything the search touches lives on the calling thread's stack, so
+ * threads may run it at once.
  *
  * Ranks reach C(254, 34) < 2^141, so they are three 64-bit words. They come
  * from a table of binomials filled row by row, while the caller holds the
@@ -150,7 +161,7 @@ INLINE int mirror_first(const state *st, int l, int nw)
 }
 
 typedef struct {
-    int n, l, base, slack, ndec, found;
+    int n, l, base, slack, ndec, found; /* found: finds so far */
     word lo[MAX_W], hi[MAX_W]; /* window bounds as sets; hi becomes each find */
     state st[MAX_N + 1];       /* st[m]: the m sensors placed so far */
 } search;
@@ -166,18 +177,53 @@ INLINE int waste(const state *st, int m, int nw)
     return m * (m - 1) / 2 - used;
 }
 
-/* The node just decided grid point x, the d-th decision: the final-lag
- * rule for a right-hand point (x = l-j makes lag x final), then the window
- * on the left part. */
-INLINE int viable(const search *s, const state *st, int d, int x, int nw)
+INLINE int bit(const word *set, int x)
 {
-    int top = x;
-    if (d & 1) {
-        if (!(st->twice[x >> 6] >> (x & 63) & 1))
-            return 0;
-        top = s->l - x;
+    return set[x >> 6] >> (x & 63) & 1;
+}
+
+/* Window ties of the decided left part: it equals the window's first
+ * combination on those points (TIE_LO), or its last (TIE_HI). A left part
+ * untied from an end already lies strictly on the window's side of it, so
+ * only a tied one can leave the window, and only at the next left point. */
+#define TIE_LO 1
+#define TIE_HI 2
+
+/* The window test of a left decision: b = 1 puts a sensor at x, b = 0
+ * leaves it empty. Returns the ties of the new left part 0..x, or -1 when
+ * it puts every array below the node before lo or after hi. */
+INLINE int window(const search *s, int tie, int x, int b)
+{
+    if (tie & TIE_LO) {
+        int a = bit(s->lo, x);
+        if (b > a) /* a sensor lo lacks: before lo */
+            return -1;
+        if (b < a)
+            tie &= ~TIE_LO;
     }
-    return lexcmp(st->s, s->lo, top, nw) >= 0 && lexcmp(st->s, s->hi, top, nw) <= 0;
+    if (tie & TIE_HI) {
+        int a = bit(s->hi, x);
+        if (b < a) /* no sensor where hi has one: after hi */
+            return -1;
+        if (b > a)
+            tie &= ~TIE_HI;
+    }
+    return tie;
+}
+
+/* Whether the child that just decided grid point x (sensor or not, as st
+ * holds it) is searched, and with which ties: a right decision x = l-j
+ * leaves the left part as it was and makes lag x final, so only the
+ * final-lag rule applies; a left one applies the window test. */
+INLINE void child(search *s, const state *st, int d, int m, int x, int b, int tie,
+                  void (*next)(search *, int, int, int))
+{
+    if (d & 1) {
+        if (bit(st->twice, x))
+            next(s, d + 1, m, tie);
+    } else if ((tie = window(s, tie, x, b)) >= 0) {
+        next(s, d + 1, m, tie);
+    }
 }
 
 /* A leaf holds n sensors and passed the pair budget on the way, which at
@@ -188,13 +234,15 @@ INLINE void leaf(search *s, const state *st, int nw)
         && lexcmp(st->s, s->hi, s->l, nw) <= 0
         && mirror_first(st, s->l, nw) && robust(st, nw)) {
         memcpy(s->hi, st->s, sizeof s->hi);
-        s->found = 1;
+        s->found++;
     }
 }
 
-/* Decide the d-th grid point onwards with m sensors placed; recurse
- * through `next`, the width-specialised copy of this function. */
-INLINE void node(search *s, int d, int m, int nw, void (*next)(search *, int, int))
+/* Decide the d-th grid point onwards with m sensors placed and the left
+ * part tied to the window as tie says; recurse through `next`, the
+ * width-specialised copy of this function. */
+INLINE void node(search *s, int d, int m, int tie, int nw,
+                 void (*next)(search *, int, int, int))
 {
     const state *st = &s->st[m];
     if (m == s->n) { /* the remaining points stay empty */
@@ -202,17 +250,27 @@ INLINE void node(search *s, int d, int m, int nw, void (*next)(search *, int, in
         return;
     }
     int x = d & 1 ? s->l - s->base - d / 2 : s->base + d / 2; /* ends inward */
+    int found = s->found;
     state *up = &s->st[m + 1];
     add(up, st, x, nw);
-    if (waste(up, m + 1, nw) <= s->slack && viable(s, up, d, x, nw))
-        next(s, d + 1, m + 1);
-    if (m + s->ndec - d > s->n && viable(s, st, d, x, nw)) /* enough points left to fill */
-        next(s, d + 1, m);
+    if (waste(up, m + 1, nw) <= s->slack)
+        child(s, up, d, m + 1, x, 1, tie, next);
+    if (s->found != found) /* the find lies below: hi now shares this left part */
+        tie |= TIE_HI;
+    if (m + s->ndec - d > s->n) /* enough points left to fill */
+        child(s, st, d, m, x, 0, tie, next);
 }
 
-static void search1(search *s, int d, int m) { node(s, d, m, 1, search1); }
-static void search2(search *s, int d, int m) { node(s, d, m, 2, search2); }
-static void search4(search *s, int d, int m) { node(s, d, m, MAX_W, search4); }
+/* POPCNT on x86-64 (see the header); PyInit__kernel_c checks the CPU for it. */
+#if defined(__x86_64__) && defined(__GNUC__)
+#define SEARCH __attribute__((target("popcnt"))) static void
+#else
+#define SEARCH static void
+#endif
+
+SEARCH search1(search *s, int d, int m, int tie) { node(s, d, m, tie, 1, search1); }
+SEARCH search2(search *s, int d, int m, int tie) { node(s, d, m, tie, 2, search2); }
+SEARCH search4(search *s, int d, int m, int tie) { node(s, d, m, tie, MAX_W, search4); }
 
 /* A rank as three 64-bit words, least significant first. */
 #define RW 3
@@ -303,6 +361,13 @@ static int rank_from_long(PyObject *v, const char *what, rank *r)
         PyErr_Format(PyExc_TypeError, "%s must be an int, not %.100s", what, Py_TYPE(v)->tp_name);
         return -1;
     }
+    memset(r, 0, sizeof *r);
+    r->w[0] = PyLong_AsUnsignedLongLong(v); /* the common case: one word */
+    if (!PyErr_Occurred())
+        return 0;
+    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+        return -1;
+    PyErr_Clear();
     PyObject *shift = PyLong_FromLong(64);
     if (shift == NULL)
         return -1;
@@ -326,6 +391,8 @@ static int rank_from_long(PyObject *v, const char *what, rank *r)
 
 static PyObject *rank_to_long(const rank *r)
 {
+    if (!r->w[1] && !r->w[2]) /* the common case: one word */
+        return PyLong_FromUnsignedLongLong(r->w[0]);
     PyObject *shift = PyLong_FromLong(64);
     PyObject *v = shift == NULL ? NULL : PyLong_FromUnsignedLongLong(r->w[RW - 1]);
     for (int i = RW - 2; i >= 0 && v != NULL; i--) {
@@ -359,7 +426,7 @@ static PyObject *scan(PyObject *self, PyObject *args, PyObject *kwargs)
                             "aperture %d outside supported range %d..%d", l, n, MAX_L);
     int base = filtered ? 2 : 1; /* fixed sensors at each end */
     int k = n - 2 * base, m = l + 1 - 2 * base; /* choose k of the points base..l-base */
-    fill_binom(m + 1);
+    fill_binom(l); /* rows up to l - 1: this numbering's and the unfiltered one's */
     const rank *size = &binom[m][k];
     int bad = rank_from_long(start_obj, "start", &start);
     if (bad < 0)
@@ -370,13 +437,18 @@ static PyObject *scan(PyObject *self, PyObject *args, PyObject *kwargs)
     bad = rank_from_long(count_obj, "count", &count);
     if (bad < 0)
         return NULL;
-    PyObject *zero = PyLong_FromLong(0);
-    int positive = zero == NULL ? -1 : PyObject_RichCompareBool(count_obj, zero, Py_GT);
-    Py_XDECREF(zero);
+    /* count read as 0 <= count < 2^192 is positive unless all zero; outside
+     * that range it is negative or reaches past the stage end */
+    int positive = (count.w[0] | count.w[1] | count.w[2]) != 0;
+    if (bad) {
+        PyObject *zero = PyLong_FromLong(0);
+        positive = zero == NULL ? -1 : PyObject_RichCompareBool(count_obj, zero, Py_GT);
+        Py_XDECREF(zero);
+    }
     if (positive < 0)
         return NULL;
     if (!positive)
-        return Py_BuildValue("iiO", 0, -1, Py_None);
+        return Py_BuildValue("iiOO", 0, -1, Py_None, Py_None);
     /* end = min(start + count, size); a count of 2^192 or more reaches the end */
     rank left = *size;
     rank_sub(&left, &start);
@@ -406,45 +478,41 @@ static PyObject *scan(PyObject *self, PyObject *args, PyObject *kwargs)
 
     Py_BEGIN_ALLOW_THREADS
     if (waste(&s.st[2 * base], 2 * base, nw) <= s.slack)
-        (nw == 1 ? search1 : nw == 2 ? search2 : search4)(&s, 0, 2 * base);
+        (nw == 1 ? search1 : nw == 2 ? search2 : search4)(&s, 0, 2 * base, TIE_LO | TIE_HI);
     Py_END_ALLOW_THREADS
 
     if (!s.found) {
         rank_sub(&end, &start);
-        PyObject *examined = rank_to_long(&end);
-        return examined == NULL ? NULL : Py_BuildValue("NiO", examined, -1, Py_None);
+        return Py_BuildValue("NiOO", rank_to_long(&end), -1, Py_None, Py_None);
     }
-    rank offset = rank_of(s.hi, m, k, base);
+    /* the find's rank in the unfiltered numbering, and its offset in this one */
+    rank index = rank_of(s.hi, l - 1, n - 2, 1);
+    rank offset = filtered ? rank_of(s.hi, m, k, base) : index;
     rank_sub(&offset, &start);
-    PyObject *positions = PyList_New(n), *off = rank_to_long(&offset);
-    rank_add(&offset, &one);
-    PyObject *examined = rank_to_long(&offset);
-    if (positions == NULL || off == NULL || examined == NULL) {
-        Py_XDECREF(positions);
-        Py_XDECREF(off);
-        Py_XDECREF(examined);
-        return NULL;
-    }
-    for (int x = 0, i = 0; x <= l; x++) {
-        if (!(s.hi[x >> 6] >> (x & 63) & 1))
+    rank examined = offset;
+    rank_add(&examined, &one);
+    PyObject *positions = PyList_New(n);
+    for (int x = 0, i = 0; positions != NULL && x <= l; x++) {
+        if (!bit(s.hi, x))
             continue;
         PyObject *v = PyLong_FromLong(x);
-        if (v == NULL) {
-            Py_DECREF(positions);
-            Py_DECREF(off);
-            Py_DECREF(examined);
-            return NULL;
-        }
-        PyList_SET_ITEM(positions, i++, v);
+        if (v == NULL)
+            Py_CLEAR(positions);
+        else
+            PyList_SET_ITEM(positions, i++, v);
     }
-    return Py_BuildValue("NNN", examined, off, positions);
+    if (positions == NULL)
+        return NULL;
+    /* a NULL from rank_to_long makes Py_BuildValue release the rest and fail */
+    return Py_BuildValue("NNNN", rank_to_long(&examined), rank_to_long(&offset), positions,
+                         rank_to_long(&index));
 }
 
 static PyMethodDef methods[] = {
     {"scan", (PyCFunction)(void (*)(void))scan, METH_VARARGS | METH_KEYWORDS,
      "scan(n, l, start, count, filtered=False)\n--\n\n"
-     "(examined, offset, positions) of the first valid, mirror-canonical array\n"
-     "among the count candidates from lexicographic rank start, as\n"
+     "(examined, offset, positions, index) of the first valid, mirror-canonical\n"
+     "array among the count candidates from lexicographic rank start, as\n"
      "rmra._kernel_py.scan."},
     {NULL, NULL, 0, NULL},
 };
@@ -459,5 +527,12 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__kernel_c(void)
 {
+#if defined(__x86_64__) && defined(__GNUC__)
+    __builtin_cpu_init();
+    if (!__builtin_cpu_supports("popcnt")) {
+        PyErr_SetString(PyExc_ImportError, "rmra._kernel_c needs a CPU with POPCNT");
+        return NULL;
+    }
+#endif
     return PyModule_Create(&module);
 }

@@ -68,16 +68,18 @@ def scan(
     start: int,
     count: int,
     filtered: bool = False,
-) -> tuple[int, int, list[int] | None]:
+) -> tuple[int, int, list[int] | None, int | None]:
     """Scan up to ``count`` consecutive candidates in lexicographic order.
 
     The candidates of stage (n, l) are its interior combinations in
     lexicographic order: n-2 grid points strictly between the endpoints, or
     n-4 when ``filtered`` fixes grid points 1 and l-1 as well. The window
     starts at rank ``start`` (``0 <= start <`` the stage size) and is cut at
-    the stage end. Returns ``(examined, found_offset, positions)`` for the
-    first valid, mirror-canonical candidate, where ``found_offset`` is -1 if
-    the range holds none. A candidate whose mirror comes first counts as
+    the stage end. Returns ``(examined, found_offset, positions, index)`` for
+    the first valid, mirror-canonical candidate, where ``index`` is its rank
+    in the unfiltered numbering (the one :func:`rmra.search.rank_candidate`
+    gives), and ``found_offset`` is -1 and the last two ``None`` if the range
+    holds none. A candidate whose mirror comes first counts as
     examined but never as found: validity is mirror-invariant and the mirror
     lies in the same stage, so a stage's first valid array is always
     mirror-canonical and the skip never changes it.
@@ -94,7 +96,7 @@ def scan(
     if not isinstance(count, int):
         raise TypeError(f"count must be an int, not {type(count).__name__}")
     if count <= 0:
-        return 0, -1, None
+        return 0, -1, None, None
     c = _unrank_lex(start, m, k)
 
     head = tuple(range(base))
@@ -105,14 +107,16 @@ def scan(
         p = head + tuple(v + base for v in c) + tail
         examined += 1
         if _valid(p, n, l, full):
-            return examined, examined - 1, list(p)
+            uk, um, ubase = stage_shape(n, l, False)
+            index = _rank_lex([v - ubase for v in p[ubase : n - ubase]], um, uk)
+            return examined, examined - 1, list(p), index
         if examined >= count:
-            return examined, -1, None
+            return examined, -1, None, None
         i = k - 1
         while i >= 0 and c[i] == m - k + i:
             i -= 1
         if i < 0:  # enumeration exhausted before count ran out
-            return examined, -1, None
+            return examined, -1, None, None
         c[i] += 1
         for j in range(i + 1, k):
             c[j] = c[j - 1] + 1

@@ -45,6 +45,8 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, "_Parser"]  # the top-level parser's subparsers, by name
+
     def error(self, message: str):  # argparse would sys.exit(2)
         raise UsageError(message)
 
@@ -69,6 +71,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="rmra", description=__doc__)
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices
 
     ps = sub.add_parser("search", help="staged exhaustive search for the widest valid array")
     ps.add_argument("--n", type=int, required=True, help="sensor count (6..36)")
@@ -394,6 +397,23 @@ def _cmd_ies(args) -> tuple[dict, dict, int]:
     return inputs, result, exit_code
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, for less when ``argv[0]`` names a command.
+
+    The top-level parser hands everything after the command to its
+    subparser, so parsing with that subparser gives the same namespace.
+    Help and every error still come from the top-level parser.
+    """
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None and "-h" not in argv and "--help" not in argv:
+        try:
+            return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        except UsageError:
+            pass  # the top-level parser raises it again, as it would have
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     handlers = {
         "search": _cmd_search,
@@ -403,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         "ies": _cmd_ies,
     }
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         t0 = time.perf_counter()
         inputs, result, exit_code = handlers[args.command](args)
         _emit(_envelope(args.command, inputs, result, t0), args.format)

@@ -95,16 +95,10 @@ class SensorArray(_Frozen):
     positions: tuple[int, ...]
 
     def __init__(self, positions: tuple[int, ...]) -> None:
-        pos = tuple([int(p) for p in positions])
-        if len(pos) < 2:
-            raise ValueError("an array needs at least two sensors")
-        if pos[0] != 0:
-            raise ValueError("canonical arrays start at position 0")
-        for a, b in zip(pos, pos[1:]):
-            if b == a:
-                raise DuplicatePosition(f"duplicate position {a}")
-            if b < a:
-                raise ValueError("positions must be strictly increasing")
+        # through a list: tuple(map(...)) resizes its tuple (tests/test_source_guards.py)
+        pos = tuple([*map(int, positions)])
+        if len(pos) < 2 or pos[0] != 0 or pos != tuple(sorted(set(pos))):
+            _reject(pos)
         object.__setattr__(self, "positions", pos)
 
     @property
@@ -123,6 +117,19 @@ class SensorArray(_Frozen):
 
     def __repr__(self) -> str:
         return f"SensorArray({list(self.positions)})"
+
+
+def _reject(pos: tuple[int, ...]) -> None:
+    """Raise the error that makes ``pos`` no canonical array."""
+    if len(pos) < 2:
+        raise ValueError("an array needs at least two sensors")
+    if pos[0] != 0:
+        raise ValueError("canonical arrays start at position 0")
+    for a, b in zip(pos, pos[1:]):
+        if b == a:
+            raise DuplicatePosition(f"duplicate position {a}")
+        if b < a:
+            raise ValueError("positions must be strictly increasing")
 
 
 class WeightTable(_Frozen):

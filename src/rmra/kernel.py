@@ -1,10 +1,12 @@
 """Backend selection for the candidate scanner.
 
 Prefers the compiled engine, falls back to the pure-Python scanner when the
-extension was not built. Both backends keep the contract of
+extension was not built or does not load (on x86-64 it needs a CPU with
+POPCNT). Both backends keep the contract of
 :func:`rmra._kernel_py.scan`, ``scan(n, l, start, count, filtered) ->
-(examined, offset, positions)``: the first valid, mirror-canonical array in
-a window of ``count`` candidates from lexicographic rank ``start``. The
+(examined, offset, positions, index)``: the first valid, mirror-canonical
+array in a window of ``count`` candidates from lexicographic rank
+``start``, and ``index``, its rank in the unfiltered numbering. The
 compiled engine does its own rank arithmetic, so ``scan`` is
 ``_kernel_c.scan`` itself. What the rest of the package numbers candidates
 with, ``stage_shape``, ``_rank_lex`` and ``_unrank_lex``, and the engines'

@@ -267,20 +267,11 @@ def run_stage(
     while lo < size:
         hi = min(lo + chunk, size)
         t1 = time.perf_counter()
-        _, offset, positions = kernel.scan(n, l, lo, hi - lo, filtered)
+        _, offset, positions, index = kernel.scan(n, l, lo, hi - lo, filtered)
         t2 = time.perf_counter()
-        if offset >= 0:
-            rank = lo + offset
-            arr = SensorArray(tuple(positions))
-            return StageResult(
-                l=l,
-                outcome=StageOutcome.FOUND,
-                candidates_examined=rank + 1,  # prefix count, identical on resume
-                elapsed=t2 - t0,
-                array=arr,
-                # unfiltered, the active enumeration is the one candidate_index ranks
-                candidate_index=rank_candidate(n, l, arr) if filtered else rank,
-            )
+        if offset >= 0:  # lo + offset + 1 is the prefix count: identical on resume
+            arr = SensorArray(positions)
+            return StageResult(l, StageOutcome.FOUND, lo + offset + 1, t2 - t0, arr, index)
         if t2 - t1 < _FAST_S:
             chunk *= 2
         elif t2 - t1 > _SLOW_S:
@@ -288,12 +279,7 @@ def run_stage(
         if on_progress is not None:
             on_progress(hi)
         lo = hi
-    return StageResult(
-        l=l,
-        outcome=StageOutcome.EXHAUSTED,
-        candidates_examined=size,
-        elapsed=time.perf_counter() - t0,
-    )
+    return StageResult(l, StageOutcome.EXHAUSTED, size, time.perf_counter() - t0)
 
 
 def checkpoint_save(

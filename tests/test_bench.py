@@ -6,8 +6,8 @@ import json
 
 import pytest
 
+from rmra import _kernel_py, bench
 from rmra.bench import bench_backend, main
-from rmra import _kernel_py
 from rmra.kernel import BACKEND
 from rmra.search import candidate_count
 
@@ -33,6 +33,29 @@ def test_bench_json_reports_backends_and_host(capsys):
     assert doc["seconds"] > 0
     assert "candidates_per_s" not in doc
     assert doc["host"]["nproc"] >= 1
+    # no compiler flags: the document cannot tell how the extension was built
+    assert sorted(doc["host"]) == ["machine", "nproc", "python"]
+
+
+def test_bench_defaults_to_the_17_sensor_proof(capsys, monkeypatch):
+    # the 17-sensor optimum's exhausted stage, filtered: long enough for the
+    # compiled engine to time, unlike the 11/23 stage (well under 0.1 ms)
+    timed = []
+
+    def fake(scan, n, l, filtered, repeat):
+        timed.append((n, l, filtered))
+        return 0.25, candidate_count(n, l, filtered)
+
+    monkeypatch.setattr(bench, "bench_backend", fake)
+    assert main(["--repeat", "1"]) == 0
+    assert timed == [(17, 54, True)]
+    assert capsys.readouterr().out.startswith("stage: n=17 l=54 filtered=True (476260169700 ")
+    with pytest.raises(SystemExit):
+        main(["--n", "11"])  # a stage needs both
+    monkeypatch.setattr(bench.kernel, "BACKEND", "python")
+    with pytest.raises(SystemExit):
+        main(["--repeat", "1"])  # the pure-Python scanner would take weeks
+    assert timed == [(17, 54, True)]
 
 
 def test_bench_search_times_one_run(capsys):

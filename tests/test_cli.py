@@ -461,6 +461,73 @@ class TestParserReuse:
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
 
 
+class TestDirectParse:
+    """``main`` parses with the named command's subparser, as the top-level parser would."""
+
+    ARGVS = {
+        "search": [["--n", "8"], ["--n=8", "--l-start", "9", "--l-lim", "12", "--no-filters",
+                                  "--deterministic", "--workers", "2", "--checkpoint", "c",
+                                  "--format", "json"]],
+        "analyze": [["0,1,2,5,6,8,9"], ["0", "1", "3", "--failed", "1", "--format", "csv"]],
+        "catalog": [[], ["--family", "rmra", "--n", "8", "--compare", "--format", "jsonl"]],
+        "verify": [[], ["--format", "json"]],
+        "ies": [[], ["0,1,3"], ["--from-ies", "1,2", "--extend", "2", "--format", "json"]],
+    }
+
+    def test_every_command_is_parsed_directly(self):
+        assert sorted(self.ARGVS) == sorted(build_parser().commands)
+
+    def test_a_named_command_skips_the_top_level_parse(self, capsys, monkeypatch):
+        def nested(argv):
+            raise AssertionError("parsed through the top-level parser")
+
+        monkeypatch.setattr(build_parser(), "parse_args", nested)
+        assert run(capsys, "search", "--n", "6")[0] == 0
+
+    @pytest.mark.parametrize("argv", [[c, *rest] for c, argvs in ARGVS.items() for rest in argvs],
+                             ids=" ".join)
+    def test_same_namespace_as_the_top_level_parser(self, argv):
+        assert rmra.cli.parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--version"],
+            ["bogus"],
+            ["sea", "--n", "8"],
+            ["search"],
+            ["search", "--help"],
+            ["analyze", "-h", "0,1,2"],
+            ["--n=8"],
+            ["search", "--n=8"],
+            ["search", "--n", "8", "--l-lim", "9"],
+            ["search", "--n", "8", "--"],
+            ["search", "--", "--n", "8"],
+            ["--", "search", "--n", "8"],
+            ["search", "--n", "8", "--bogus"],
+            ["search", "--n", "8", "--version"],
+            ["search", "--n", "8", "--format", "xml"],
+            ["verify", "--format", "csv"],
+            ["analyze", "0,1,2,5,6,8,9", "--failed"],
+        ],
+        ids=lambda argv: " ".join(argv) or "(none)",
+    )
+    def test_same_outcome_as_the_top_level_parser(self, capsys, monkeypatch, argv):
+        def outcome():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # help and --version print and exit
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        direct = outcome()
+        monkeypatch.setattr(rmra.cli, "parse_args", lambda a: build_parser().parse_args(a))
+        assert direct == outcome()
+
+
 ENVELOPES = Path(__file__).resolve().parent / "data" / "json_envelopes.jsonl"
 
 

@@ -47,10 +47,10 @@ def windowed_scan(scan, n, l, filtered, width=7):
     returned as one whole-stage call would return it."""
     size = candidate_count(n, l, filtered)
     for lo in range(0, size, width):
-        examined, offset, positions = scan(n, l, lo, width, filtered)
+        examined, offset, positions, index = scan(n, l, lo, width, filtered)
         if offset >= 0:
-            return lo + examined, lo + offset, positions
-    return size, -1, None
+            return lo + examined, lo + offset, positions, index
+    return size, -1, None, None
 
 
 def oracle(n, l, start, count, filtered):
@@ -65,8 +65,14 @@ def oracle(n, l, start, count, filtered):
         else:
             arr = unrank_candidate(n, l, r)
         if rmra_check(arr, n, l).overall and arr.positions <= mirror(arr).positions:
-            return r - start + 1, r - start, list(arr.positions)
-    return max(0, end - start), -1, None
+            return r - start + 1, r - start, list(arr.positions), rank_candidate(n, l, arr)
+    return max(0, end - start), -1, None, None
+
+
+def assert_unfiltered_index(n, l, result):
+    """A find's 4th element is its rank in the unfiltered numbering."""
+    _, offset, positions, index = result
+    assert index == (rank_candidate(n, l, positions) if offset >= 0 else None)
 
 
 def test_backend_selected():
@@ -161,6 +167,39 @@ def test_backends_agree_on_random_ranges():
         count = rng.randint(1, size - start)
         out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
         assert out["python"] == out["c"], (n, l, filtered, start, count)
+        assert_unfiltered_index(n, l, out["c"])
+
+
+@needs_c
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("n,l", [(9, 12), (9, 14), (10, 17)])
+def test_windows_with_tied_ends_match_the_oracle(n, l, filtered):
+    # The compiled engine tracks whether the decided left part still equals
+    # the window's first or last combination there, and tests the window only
+    # while it does. Windows a few ranks wide have ends that share all but
+    # their last points; those that start or end at a valid array, or one
+    # rank past it, or that run from one valid array to the next, put a find
+    # at the window's first and last candidate and just outside either end.
+    k, m, _ = kernel.stage_shape(n, l, filtered)
+    size = math.comb(m, k)
+    finds = [r for r in range(size) if oracle(n, l, r, 1, filtered)[1] == 0]
+    assert len(finds) >= 10
+    windows = list(zip(finds, [b - a + 1 for a, b in zip(finds, finds[1:])]))
+    windows += [(a + 1, b - a) for a, b in zip(finds, finds[1:])]
+    for r in finds[:20] + finds[-20:]:
+        for w in (1, 2, 3, 9):
+            windows += [(r, w), (r - w + 1, w), (r + 1, w), (r - w, w)]
+    shared = 0
+    for start, count in windows:
+        if not 0 <= start < size:
+            continue
+        first = _unrank_lex(start, m, k)
+        last = _unrank_lex(min(start + count, size) - 1, m, k)
+        shared = max(shared, next((i for i in range(k) if first[i] != last[i]), k))
+        expected = oracle(n, l, start, count, filtered)
+        for name, scan in BACKENDS.items():
+            assert scan(n, l, start, count, filtered) == expected, (name, start, count)
+    assert shared >= k - 1
 
 
 @needs_c
@@ -192,6 +231,7 @@ def test_backends_agree_across_the_word_boundary():
     for n, l, filtered, start, count in windows:
         out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
         assert out["python"] == out["c"], (n, l, filtered, start, count)
+        assert_unfiltered_index(n, l, out["c"])
         two_word_finds += l > 63 and out["c"][1] >= 0
     assert two_word_finds
 
@@ -235,8 +275,8 @@ def test_backends_agree_on_finds_at_wide_ranks(positions, bits, canonical):
     assert r.bit_length() == bits
     for start, count in ((r - 200, 400), (r, 1)):
         out = {name: scan(n, l, start, count) for name, scan in BACKENDS.items()}
-        found = (r - start + 1, r - start, list(positions))
-        assert out["python"] == out["c"] == (found if canonical else (count, -1, None))
+        found = (r - start + 1, r - start, list(positions), r)
+        assert out["python"] == out["c"] == (found if canonical else (count, -1, None, None))
 
 
 @needs_c
@@ -251,7 +291,7 @@ def test_backends_agree_on_the_141_bit_stage_end(filtered):
     assert size.bit_length() == (135 if filtered else 141)
     for start, count in ((size - 500, 500), (size - 500, 10**6), (size - 1, 2**200)):
         out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
-        assert out["python"] == out["c"] == (size - start, -1, None), (start, count)
+        assert out["python"] == out["c"] == (size - start, -1, None, None), (start, count)
 
 
 @needs_c
@@ -269,7 +309,8 @@ def test_backends_agree_on_windows_past_the_stage_end():
         count = size - start + rng.randint(1, 10**6)
         out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
         assert out["python"] == out["c"], (n, l, filtered, start)
-        examined, offset, _ = out["c"]
+        assert_unfiltered_index(n, l, out["c"])
+        examined, offset, _, _ = out["c"]
         assert examined == (offset + 1 if offset >= 0 else size - start)
 
 
@@ -280,7 +321,7 @@ def test_backends_agree_on_windows_past_the_stage_end():
 def test_backends_agree_on_exhausted_reference_stages(n, l, filtered, size):
     # the exhaustion proofs of the 11- and 12-sensor optima, as searches scan them
     results = {name: full_scan(scan, n, l, filtered) for name, scan in BACKENDS.items()}
-    assert results["python"] == results["c"] == (size, -1, None)
+    assert results["python"] == results["c"] == (size, -1, None, None)
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -300,14 +341,14 @@ def test_single_candidate_matches_reference_checker(name):
             windows.append((n, l, rank_candidate(n, l, arr)))
     verdicts = set()
     for n, l, idx in windows:
-        examined, offset, positions = scan(n, l, idx, 1)
+        examined, offset, positions, index = scan(n, l, idx, 1)
         assert examined == 1
         arr = unrank_candidate(n, l, idx)
         valid = rmra_check(arr, n, l).overall
         expected = valid and arr.positions <= mirror(arr).positions
         assert (offset == 0) == expected, arr.positions
         if expected:
-            assert tuple(positions) == arr.positions
+            assert (tuple(positions), index) == (arr.positions, idx)
         verdicts.add((valid, expected))
     assert verdicts == {(False, False), (True, False), (True, True)}
 
@@ -340,8 +381,8 @@ def test_engine_counts_a_138_bit_window_exactly():
     # `examined` needs all three words of a rank. Only the count can be
     # checked; the pure-Python scanner would visit each candidate.
     start = math.comb(251, 33)
-    assert BACKENDS["c"](36, 253, start, 2**200) == (math.comb(251, 34), -1, None)
-    assert BACKENDS["c"](36, 253, start, 2**137 + 5) == (2**137 + 5, -1, None)
+    assert BACKENDS["c"](36, 253, start, 2**200) == (math.comb(251, 34), -1, None, None)
+    assert BACKENDS["c"](36, 253, start, 2**137 + 5) == (2**137 + 5, -1, None, None)
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -360,7 +401,7 @@ def test_guards(name):
             scan(n, l, 0, 1, False)
         assert str(info.value) == message
 
-    assert scan(6, 9, 0, 0, False) == (0, -1, None)
+    assert scan(6, 9, 0, 0, False) == (0, -1, None, None)
 
 
 def test_one_definition_numbers_every_stage():
@@ -417,16 +458,16 @@ def test_backends_reject_the_same_bad_windows(filtered):
     for count in (0, -1, -(2**70)):
         for start in (0, size - 1):
             out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
-            assert out["python"] == out["c"] == (0, -1, None)
+            assert out["python"] == out["c"] == (0, -1, None, None)
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_count_beyond_64_bits_scans_to_the_stage_end(name):
     scan = BACKENDS[name]
     size = candidate_count(6, 9, False)
-    assert scan(6, 9, 0, 2**70) == (size, -1, None)
-    assert scan(6, 9, 0, 2**300) == (size, -1, None)
-    assert scan(6, 9, 0, -(2**70)) == (0, -1, None)
+    assert scan(6, 9, 0, 2**70) == (size, -1, None, None)
+    assert scan(6, 9, 0, 2**300) == (size, -1, None, None)
+    assert scan(6, 9, 0, -(2**70)) == (0, -1, None, None)
 
 
 def test_rank_lex_round_trips_past_141_bits():

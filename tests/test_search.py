@@ -238,7 +238,7 @@ class TestChunkLoop:
         def timed(n, l, start, count, *args):
             sizes.append(count)
             clock[0] += next(seconds)
-            return count, -1, []
+            return count, -1, None, None
 
         monkeypatch.setattr(kernel, "scan", timed)
         monkeypatch.setattr(search.time, "perf_counter", lambda: clock[0])

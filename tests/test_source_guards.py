@@ -173,18 +173,34 @@ def test_no_module_imports_dataclasses():
     assert offenders == []
 
 
+def setup_compile_args() -> list[str]:
+    """``EXTRA_COMPILE_ARGS`` from setup.py, read without running the build."""
+    tree = ast.parse((PACKAGE.parents[1] / "setup.py").read_text())
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["EXTRA_COMPILE_ARGS"]
+    )
+
+
 def test_compiled_kernel_builds_without_warnings(tmp_path):
     # setup.py turns a failed compile into a warning and the pure-Python
     # fallback, so a warning that becomes an error on another compiler would
-    # go unnoticed. The engine is plain C99 and compiles cleanly.
+    # go unnoticed. The engine is plain C99 and compiles cleanly, both with
+    # the strict flags alone and with the build's own flags added, so a flag
+    # or pragma the build gains is checked too.
     cc = (sysconfig.get_config_var("CC") or "cc").split()
     if shutil.which(cc[0]) is None:
         pytest.skip("no C compiler")
-    flags = ["-std=c99", "-O2", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-fPIC"]
-    proc = subprocess.run(
-        [*cc, *flags, f"-I{sysconfig.get_paths()['include']}", "-c"]
-        + [str(PACKAGE / "_kernel_c.c"), "-o", str(tmp_path / "_kernel_c.o")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
+    strict = ["-std=c99", "-O2", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-fPIC"]
+    extra = setup_compile_args()
+    assert extra  # the build passes flags of its own
+    for flags in (strict, strict + extra):
+        proc = subprocess.run(
+            [*cc, *flags, f"-I{sysconfig.get_paths()['include']}", "-c"]
+            + [str(PACKAGE / "_kernel_c.c"), "-o", str(tmp_path / "_kernel_c.o")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)
