@@ -7,7 +7,11 @@ stage, without ``--n`` and ``--l``, is the 17-sensor optimum's exhaustion
 proof (aperture 54, filtered: 4.8e11 candidates, over 0.1 s for the
 compiled engine). The pure-Python scanner visits every candidate, so
 without the extension a stage must be given, a small one such as
-``--n 11 --l 23`` (497,420).
+``--n 11 --l 23`` (497,420). With the compiled engine the stage figure
+also gives the nodes its search visits and the nodes per second of the
+best run; the node count is exact and repeats on any machine, so it tells
+a smaller tree from a faster machine. The Python backend has no search
+tree, and its node figures are ``null``.
 
 ``--search N`` times :func:`rmra.search.loses_search` end to end for N
 sensors instead. ``--json`` prints the same figures, plus the host (core
@@ -39,6 +43,13 @@ def bench_backend(scan, n: int, l: int, filtered: bool, repeat: int) -> tuple[fl
             raise RuntimeError(f"scanned {examined} of {total} candidates")
         best = min(best, dt)
     return best, total
+
+
+def stage_nodes(n: int, l: int, filtered: bool) -> int | None:
+    """Nodes the compiled engine visits on the whole stage; ``None`` without it."""
+    if kernel.BACKEND != "c":
+        return None
+    return kernel.scan(n, l, 0, candidate_count(n, l, filtered), filtered, nodes=True)[4]
 
 
 def bench_search(n: int, repeat: int) -> dict:
@@ -74,10 +85,13 @@ def main(argv: list[str] | None = None) -> int:
                **bench_search(args.search, args.repeat)}
     else:
         dt, total = bench_backend(kernel.scan, args.n, args.l, args.filtered, args.repeat)
+        nodes = stage_nodes(args.n, args.l, args.filtered)
         doc = {
             "stage": {"n": args.n, "l": args.l, "filtered": args.filtered, "candidates": total},
             "backend": kernel.BACKEND,
             "seconds": dt,
+            "nodes": nodes,
+            "nodes_per_s": None if nodes is None else nodes / dt,
         }
     if args.json:
         doc["repeat"] = args.repeat
@@ -94,7 +108,10 @@ def main(argv: list[str] | None = None) -> int:
               f"{doc['verdict']}, aperture {doc['optimal_aperture']}")
         return 0
     print(f"stage: n={args.n} l={args.l} filtered={args.filtered} ({total} candidates)")
-    print(f"  {kernel.BACKEND:<8} {dt * 1e3:10.3f} ms")
+    line = f"  {kernel.BACKEND:<8} {dt * 1e3:10.3f} ms"
+    if nodes is not None:
+        line += f"   {nodes:,} nodes, {doc['nodes_per_s'] / 1e6:.1f} M nodes/s"
+    print(line)
     return 0
 
 

@@ -8,9 +8,13 @@ POPCNT). Both backends keep the contract of
 array in a window of ``count`` candidates from lexicographic rank
 ``start``, and ``index``, its rank in the unfiltered numbering. The
 compiled engine does its own rank arithmetic, so ``scan`` is
-``_kernel_c.scan`` itself. What the rest of the package numbers candidates
-with, ``stage_shape``, ``_rank_lex`` and ``_unrank_lex``, and the engines'
-limits ``MAX_N`` and ``MAX_L`` are re-exported from :mod:`rmra._kernel_py`.
+``_kernel_c.scan`` itself. It alone takes a keyword-only ``nodes=True``,
+which appends the number of search nodes the call visited, an exact count
+that does not depend on the machine's speed; the pure-Python scanner walks
+candidates, not a tree, and has no such count. What the rest of the
+package numbers candidates with, ``stage_shape``, ``_rank_lex`` and
+``_unrank_lex``, and the engines' limits ``MAX_N`` and ``MAX_L`` are
+re-exported from :mod:`rmra._kernel_py`.
 """
 
 from . import _kernel_py

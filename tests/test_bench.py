@@ -80,3 +80,26 @@ def test_bench_search_prints_text(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"search: n=7 backend={BACKEND}"
     assert len(lines) == 2 and lines[1].endswith(" ms   optimal, aperture 9")
+
+
+@pytest.mark.skipif(BACKEND != "c", reason="compiled kernel not built")
+def test_bench_reports_the_engine_nodes(capsys):
+    # 12/27 filtered, the 12-sensor exhaustion proof: 9,630 nodes every run
+    assert main(["--n", "12", "--l", "27", "--filtered", "--repeat", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["nodes"] == 9_630
+    assert doc["nodes_per_s"] == pytest.approx(9_630 / doc["seconds"])
+    assert main(["--n", "12", "--l", "27", "--filtered", "--repeat", "1"]) == 0
+    assert " ms   9,630 nodes, " in capsys.readouterr().out
+    assert bench.stage_nodes(12, 27, True) == 9_630
+
+
+def test_bench_nodes_are_null_on_the_python_backend(capsys, monkeypatch):
+    monkeypatch.setattr(bench.kernel, "BACKEND", "python")
+    monkeypatch.setattr(bench.kernel, "scan", _kernel_py.scan)
+    assert main(["--n", "6", "--l", "8", "--repeat", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["backend"] == "python"
+    assert (doc["nodes"], doc["nodes_per_s"]) == (None, None)
+    assert main(["--n", "6", "--l", "8", "--repeat", "1"]) == 0
+    assert "nodes" not in capsys.readouterr().out

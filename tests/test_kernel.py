@@ -483,3 +483,56 @@ def test_rank_lex_round_trips_past_141_bits():
             assert len(combo) == k and combo == sorted(set(combo)) and all(0 <= c < m for c in combo)
             assert _rank_lex(combo, m, k) == r, (m, k, r)
     assert math.comb(252, 34).bit_length() == 141
+
+
+# Nodes the compiled engine visits in one call over the whole stage. The
+# found stages end at their first valid array; with "sensor" tried first at
+# the right end as well as the left, they visit 1,136, 2,121, 82,120 and
+# 1,244,603. The exhausted stages visit every node in any order.
+STAGE_NODES = {
+    (11, 22, False): (True, 315),
+    (12, 26, True): (True, 357),
+    (14, 36, True): (True, 4_963),
+    (16, 47, True): (True, 613_183),
+    (12, 27, True): (False, 9_630),
+    (13, 33, True): (False, 14_862),
+    (16, 48, True): (False, 1_697_853),
+}
+
+
+@needs_c
+@pytest.mark.parametrize("n,l,filtered", sorted(STAGE_NODES))
+def test_engine_node_counts_are_pinned_and_repeat(n, l, filtered):
+    # An exact count, unlike a wall time: it moves only when the search tree
+    # does. The right end's "no sensor first" order and the re-tie to a new
+    # find in either order each change the found stages' counts.
+    found, nodes = STAGE_NODES[n, l, filtered]
+    scan = BACKENDS["c"]
+    size = candidate_count(n, l, filtered)
+    first = scan(n, l, 0, size, filtered, nodes=True)
+    assert (first[1] >= 0, first[4]) == (found, nodes)
+    assert scan(n, l, 0, size, filtered, nodes=True) == first
+
+
+@needs_c
+def test_nodes_flag_appends_the_count_to_the_result():
+    scan = BACKENDS["c"]
+    windows = [
+        (11, 22, 0, 10**9, False),
+        (12, 27, 0, 10**9, True),
+        (9, 14, 5, 300, True),
+        (6, 9, 0, 0, False),
+        (6, 9, 3, -5, False),
+        (36, 253, 0, 500, False),
+    ]
+    for n, l, start, count, filtered in windows:
+        plain = scan(n, l, start, count, filtered)
+        counted = scan(n, l, start, count, filtered, nodes=True)
+        assert len(plain) == 4 and counted[:4] == plain
+        assert type(counted[4]) is int and counted[4] >= 0
+        assert scan(n, l, start, count, filtered, nodes=False) == plain
+    assert scan(6, 9, 0, 0, nodes=True) == (0, -1, None, None, 0)  # nothing searched
+    with pytest.raises(TypeError):  # keyword-only
+        scan(6, 9, 0, 1, False, True)
+    with pytest.raises(TypeError):  # the fallback walks candidates and has no count
+        BACKENDS["python"](6, 9, 0, 1, False, nodes=True)
