@@ -1,20 +1,20 @@
 /* Compiled stage engine behind rmra.kernel.scan.
  *
- * scan(n, l, start, count, filtered=False, *, nodes=False) keeps the
- * contract of rmra._kernel_py.scan: the window is the count candidates of
- * stage (n, l) from lexicographic rank start onwards (cut at the stage end),
- * and it returns (examined, offset, positions, index) for the first valid
- * array in the window that is mirror-canonical, where index is its rank in
- * the unfiltered numbering, or (examined, -1, None, None). An array whose
- * mirror comes first is skipped: validity is mirror-invariant and the mirror
- * lies in the same stage, so a stage's first valid array is always
- * mirror-canonical and skipping never changes it. The engine unranks the
- * window's ends into sets, searches between them without visiting the
+ * scan(n, l, start, end, filtered=False) keeps the contract of
+ * rmra._kernel_py.scan: the window is the candidates of stage (n, l) of
+ * lexicographic rank start..end-1, with 0 <= start < end <= the stage size,
+ * and it returns (examined, offset, positions, index, nodes) for the first
+ * valid array in the window that is mirror-canonical, where index is its
+ * rank in the unfiltered numbering, or (examined, -1, None, None, nodes).
+ * An array whose mirror comes first is skipped: validity is mirror-invariant
+ * and the mirror lies in the same stage, so a stage's first valid array is
+ * always mirror-canonical and skipping never changes it. The engine unranks
+ * the window's ends into sets, searches between them without visiting the
  * candidates before the find, and ranks the find, so examined is the find's
- * offset plus one, or the window size. With nodes=True the result gains a
- * fifth element, the number of search nodes the call visited (leaves
- * included): an exact count that repeats from run to run, so it measures the
- * tree apart from the machine's speed. 4 <= n <= 36 and n <= l <= 255.
+ * offset plus one, or end - start. nodes is the number of search nodes the
+ * call visited (leaves included): an exact count that repeats from run to
+ * run, so it measures the tree apart from the machine's speed, and
+ * rmra.search sizes its chunks by it. 4 <= n <= 36 and n <= l <= 255.
  *
  * Ends-inward branch-and-bound, the exhaustive method for sparse rulers and
  * minimum-redundancy arrays (Leech, 1956): grid points are decided in the
@@ -432,19 +432,16 @@ static PyObject *rank_to_long(const rank *r)
 
 static PyObject *scan(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "l", "start", "count", "filtered", "nodes", NULL};
-    int n, l, filtered = 0, nodes = 0;
-    PyObject *start_obj, *count_obj;
-    rank start, count, end;
+    static char *kwlist[] = {"n", "l", "start", "end", "filtered", NULL};
+    int n, l, filtered = 0;
+    PyObject *start_obj, *end_obj;
+    rank start, end;
     search s;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOO|p$p:scan", kwlist, &n, &l, &start_obj,
-                                     &count_obj, &filtered, &nodes))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOO|p:scan", kwlist, &n, &l, &start_obj,
+                                     &end_obj, &filtered))
         return NULL;
-    /* with nodes, each result gains the node count: its format ends in K,
-     * and without it the count, one argument past the format, is unread */
-#define RESULT(format) (nodes ? format "K" : format)
     if (n < 4 || n > MAX_N)
         return PyErr_Format(PyExc_ValueError,
                             "sensor count %d outside supported range 4..%d", n, MAX_N);
@@ -461,29 +458,12 @@ static PyObject *scan(PyObject *self, PyObject *args, PyObject *kwargs)
     if (bad || !rank_lt(&start, size))
         return PyErr_Format(PyExc_ValueError, "start rank outside the stage's %d-of-%d "
                             "enumeration", k, m);
-    bad = rank_from_long(count_obj, "count", &count);
+    bad = rank_from_long(end_obj, "end", &end);
     if (bad < 0)
         return NULL;
-    /* count read as 0 <= count < 2^192 is positive unless all zero; outside
-     * that range it is negative or reaches past the stage end */
-    int positive = (count.w[0] | count.w[1] | count.w[2]) != 0;
-    if (bad) {
-        PyObject *zero = PyLong_FromLong(0);
-        positive = zero == NULL ? -1 : PyObject_RichCompareBool(count_obj, zero, Py_GT);
-        Py_XDECREF(zero);
-    }
-    if (positive < 0)
-        return NULL;
-    if (!positive)
-        return Py_BuildValue(RESULT("iiOO"), 0, -1, Py_None, Py_None, 0ULL);
-    /* end = min(start + count, size); a count of 2^192 or more reaches the end */
-    rank left = *size;
-    rank_sub(&left, &start);
-    end = *size;
-    if (!bad && rank_lt(&count, &left)) {
-        end = start;
-        rank_add(&end, &count);
-    }
+    if (bad || !rank_lt(&start, &end) || rank_lt(size, &end))
+        return PyErr_Format(PyExc_ValueError, "end rank outside start+1..the size of the "
+                            "stage's %d-of-%d enumeration", k, m);
 
     int nw = l <= 63 ? 1 : l <= 127 ? 2 : MAX_W;
     memset(&s, 0, sizeof s);
@@ -510,8 +490,7 @@ static PyObject *scan(PyObject *self, PyObject *args, PyObject *kwargs)
 
     if (!s.found) {
         rank_sub(&end, &start);
-        return Py_BuildValue(RESULT("NiOO"), rank_to_long(&end), -1, Py_None, Py_None,
-                             s.nodes);
+        return Py_BuildValue("NiOOK", rank_to_long(&end), -1, Py_None, Py_None, s.nodes);
     }
     /* the find's rank in the unfiltered numbering, and its offset in this one */
     rank index = rank_of(s.hi, l - 1, n - 2, 1);
@@ -532,17 +511,16 @@ static PyObject *scan(PyObject *self, PyObject *args, PyObject *kwargs)
     if (positions == NULL)
         return NULL;
     /* a NULL from rank_to_long makes Py_BuildValue release the rest and fail */
-    return Py_BuildValue(RESULT("NNNN"), rank_to_long(&examined), rank_to_long(&offset),
-                         positions, rank_to_long(&index), s.nodes);
-#undef RESULT
+    return Py_BuildValue("NNNNK", rank_to_long(&examined), rank_to_long(&offset), positions,
+                         rank_to_long(&index), s.nodes);
 }
 
 static PyMethodDef methods[] = {
     {"scan", (PyCFunction)(void (*)(void))scan, METH_VARARGS | METH_KEYWORDS,
-     "scan(n, l, start, count, filtered=False, *, nodes=False)\n--\n\n"
-     "(examined, offset, positions, index) of the first valid, mirror-canonical\n"
-     "array among the count candidates from lexicographic rank start, as\n"
-     "rmra._kernel_py.scan; with nodes=True, the search's node count follows."},
+     "scan(n, l, start, end, filtered=False)\n--\n\n"
+     "(examined, offset, positions, index, nodes) of the first valid,\n"
+     "mirror-canonical array among the candidates of lexicographic rank\n"
+     "start..end-1, as rmra._kernel_py.scan; nodes counts the search's nodes."},
     {NULL, NULL, 0, NULL},
 };
 

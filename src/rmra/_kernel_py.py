@@ -66,23 +66,24 @@ def scan(
     n: int,
     l: int,
     start: int,
-    count: int,
+    end: int,
     filtered: bool = False,
-) -> tuple[int, int, list[int] | None, int | None]:
-    """Scan up to ``count`` consecutive candidates in lexicographic order.
+) -> tuple[int, int, list[int] | None, int | None, int]:
+    """Scan the candidates of ranks ``start..end-1`` in lexicographic order.
 
     The candidates of stage (n, l) are its interior combinations in
     lexicographic order: n-2 grid points strictly between the endpoints, or
     n-4 when ``filtered`` fixes grid points 1 and l-1 as well. The window
-    starts at rank ``start`` (``0 <= start <`` the stage size) and is cut at
-    the stage end. Returns ``(examined, found_offset, positions, index)`` for
-    the first valid, mirror-canonical candidate, where ``index`` is its rank
-    in the unfiltered numbering (the one :func:`rmra.search.rank_candidate`
-    gives), and ``found_offset`` is -1 and the last two ``None`` if the range
-    holds none. A candidate whose mirror comes first counts as
-    examined but never as found: validity is mirror-invariant and the mirror
-    lies in the same stage, so a stage's first valid array is always
-    mirror-canonical and the skip never changes it.
+    needs ``0 <= start < end <=`` the stage size. Returns ``(examined,
+    found_offset, positions, index, nodes)`` for the first valid,
+    mirror-canonical candidate, where ``index`` is its rank in the
+    unfiltered numbering (the one :func:`rmra.search.rank_candidate` gives),
+    and ``found_offset`` is -1 and the next two ``None`` if the window holds
+    none. ``nodes``, the call's work, is the candidates tested: ``examined``.
+    A candidate whose mirror comes first counts as examined but never as
+    found: validity is mirror-invariant and the mirror lies in the same
+    stage, so a stage's first valid array is always mirror-canonical and the
+    skip never changes it.
     """
     if not 4 <= n <= MAX_N:
         raise ValueError(f"sensor count {n} outside supported range 4..{MAX_N}")
@@ -93,10 +94,12 @@ def scan(
         raise TypeError(f"start must be an int, not {type(start).__name__}")
     if not 0 <= start < math.comb(m, k):
         raise ValueError(f"start rank outside the stage's {k}-of-{m} enumeration")
-    if not isinstance(count, int):
-        raise TypeError(f"count must be an int, not {type(count).__name__}")
-    if count <= 0:
-        return 0, -1, None, None
+    if not isinstance(end, int):
+        raise TypeError(f"end must be an int, not {type(end).__name__}")
+    if not start < end <= math.comb(m, k):
+        raise ValueError(
+            f"end rank outside start+1..the size of the stage's {k}-of-{m} enumeration"
+        )
     c = _unrank_lex(start, m, k)
 
     head = tuple(range(base))
@@ -109,14 +112,12 @@ def scan(
         if _valid(p, n, l, full):
             uk, um, ubase = stage_shape(n, l, False)
             index = _rank_lex([v - ubase for v in p[ubase : n - ubase]], um, uk)
-            return examined, examined - 1, list(p), index
-        if examined >= count:
-            return examined, -1, None, None
-        i = k - 1
-        while i >= 0 and c[i] == m - k + i:
+            return examined, examined - 1, list(p), index, examined
+        if start + examined == end:
+            return examined, -1, None, None, examined
+        i = k - 1  # the next combination: end <= the stage size, so there is one
+        while c[i] == m - k + i:
             i -= 1
-        if i < 0:  # enumeration exhausted before count ran out
-            return examined, -1, None, None
         c[i] += 1
         for j in range(i + 1, k):
             c[j] = c[j - 1] + 1

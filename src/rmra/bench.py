@@ -7,11 +7,11 @@ stage, without ``--n`` and ``--l``, is the 17-sensor optimum's exhaustion
 proof (aperture 54, filtered: 4.8e11 candidates, over 0.1 s for the
 compiled engine). The pure-Python scanner visits every candidate, so
 without the extension a stage must be given, a small one such as
-``--n 11 --l 23`` (497,420). With the compiled engine the stage figure
-also gives the nodes its search visits and the nodes per second of the
-best run; the node count is exact and repeats on any machine, so it tells
-a smaller tree from a faster machine. The Python backend has no search
-tree, and its node figures are ``null``.
+``--n 11 --l 23`` (497,420). The stage figure also gives the nodes the
+scan reports and the nodes per second of the best run: the compiled
+engine's search nodes, or the candidates the pure-Python scanner tests.
+The count is exact and repeats on any machine, so it tells a smaller tree
+from a faster machine.
 
 ``--search N`` times :func:`rmra.search.loses_search` end to end for N
 sensors instead. ``--json`` prints the same figures, plus the host (core
@@ -30,26 +30,20 @@ from .search import SearchConfig, candidate_count, loses_search
 REFERENCE_STAGE = (17, 54, True)  # (n, l, filtered)
 
 
-def bench_backend(scan, n: int, l: int, filtered: bool, repeat: int) -> tuple[float, int]:
+def bench_backend(scan, n: int, l: int, filtered: bool, repeat: int) -> tuple[float, int, int]:
+    """Best wall seconds of ``repeat`` whole-stage scans, the stage size and the scan's nodes."""
     total = candidate_count(n, l, filtered)
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        examined, found = scan(n, l, 0, total, filtered)[:2]
+        examined, found, _, _, nodes = scan(n, l, 0, total, filtered)
         dt = time.perf_counter() - t0
         if found >= 0:
             raise RuntimeError("benchmark stage unexpectedly contains a valid array")
         if examined != total:
             raise RuntimeError(f"scanned {examined} of {total} candidates")
         best = min(best, dt)
-    return best, total
-
-
-def stage_nodes(n: int, l: int, filtered: bool) -> int | None:
-    """Nodes the compiled engine visits on the whole stage; ``None`` without it."""
-    if kernel.BACKEND != "c":
-        return None
-    return kernel.scan(n, l, 0, candidate_count(n, l, filtered), filtered, nodes=True)[4]
+    return best, total, nodes
 
 
 def bench_search(n: int, repeat: int) -> dict:
@@ -75,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if (args.n is None) != (args.l is None):
         parser.error("give --n and --l together")
-    if args.n is None:
+    if args.n is None and args.search is None:
         if kernel.BACKEND != "c":  # it would visit all 4.8e11 candidates, for weeks
             parser.error("the reference stage needs the compiled engine; give --n and --l")
         args.n, args.l, args.filtered = REFERENCE_STAGE
@@ -84,14 +78,13 @@ def main(argv: list[str] | None = None) -> int:
         doc = {"search": {"n": args.search}, "backend": kernel.BACKEND,
                **bench_search(args.search, args.repeat)}
     else:
-        dt, total = bench_backend(kernel.scan, args.n, args.l, args.filtered, args.repeat)
-        nodes = stage_nodes(args.n, args.l, args.filtered)
+        dt, total, nodes = bench_backend(kernel.scan, args.n, args.l, args.filtered, args.repeat)
         doc = {
             "stage": {"n": args.n, "l": args.l, "filtered": args.filtered, "candidates": total},
             "backend": kernel.BACKEND,
             "seconds": dt,
             "nodes": nodes,
-            "nodes_per_s": None if nodes is None else nodes / dt,
+            "nodes_per_s": nodes / dt,
         }
     if args.json:
         doc["repeat"] = args.repeat
@@ -108,10 +101,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{doc['verdict']}, aperture {doc['optimal_aperture']}")
         return 0
     print(f"stage: n={args.n} l={args.l} filtered={args.filtered} ({total} candidates)")
-    line = f"  {kernel.BACKEND:<8} {dt * 1e3:10.3f} ms"
-    if nodes is not None:
-        line += f"   {nodes:,} nodes, {doc['nodes_per_s'] / 1e6:.1f} M nodes/s"
-    print(line)
+    print(f"  {kernel.BACKEND:<8} {dt * 1e3:10.3f} ms   "
+          f"{nodes:,} nodes, {doc['nodes_per_s'] / 1e6:.1f} M nodes/s")
     return 0
 
 

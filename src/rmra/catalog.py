@@ -102,8 +102,9 @@ _OPTIMAL: dict[int, tuple[tuple[int, ...], str]] = {
     15: ((0, 1, 2, 4, 5, 9, 14, 19, 24, 29, 34, 35, 40, 41, 42), "tableA1/table7"),
 }
 
-# Near-optimal arrays, 16..20 sensors (search budget ran out before the next
-# stage could be exhausted).
+# The paper's Table 6 near-optimal arrays, 16..20 sensors, as published.
+# `rmra search` goes further (README, "Longer runs"): the 16-sensor row is
+# the optimum it finds, and at 17..20 sensors it finds wider apertures.
 _NEAR_OPTIMAL: dict[int, tuple[int, ...]] = {
     16: (0, 1, 2, 3, 5, 7, 16, 18, 26, 29, 35, 38, 39, 43, 46, 47),
     17: (0, 1, 2, 3, 4, 5, 6, 7, 8, 18, 20, 30, 32, 41, 42, 50, 51),

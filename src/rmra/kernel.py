@@ -2,19 +2,17 @@
 
 Prefers the compiled engine, falls back to the pure-Python scanner when the
 extension was not built or does not load (on x86-64 it needs a CPU with
-POPCNT). Both backends keep the contract of
-:func:`rmra._kernel_py.scan`, ``scan(n, l, start, count, filtered) ->
-(examined, offset, positions, index)``: the first valid, mirror-canonical
-array in a window of ``count`` candidates from lexicographic rank
-``start``, and ``index``, its rank in the unfiltered numbering. The
-compiled engine does its own rank arithmetic, so ``scan`` is
-``_kernel_c.scan`` itself. It alone takes a keyword-only ``nodes=True``,
-which appends the number of search nodes the call visited, an exact count
-that does not depend on the machine's speed; the pure-Python scanner walks
-candidates, not a tree, and has no such count. What the rest of the
-package numbers candidates with, ``stage_shape``, ``_rank_lex`` and
-``_unrank_lex``, and the engines' limits ``MAX_N`` and ``MAX_L`` are
-re-exported from :mod:`rmra._kernel_py`.
+POPCNT). Both backends keep the contract of :func:`rmra._kernel_py.scan`,
+``scan(n, l, start, end, filtered) -> (examined, offset, positions, index,
+nodes)``: the first valid, mirror-canonical array among the candidates of
+lexicographic rank ``start..end-1``, ``index``, its rank in the unfiltered
+numbering, and ``nodes``, the call's work: the search nodes the compiled
+engine visited, or the candidates the pure-Python scanner tested. Either is
+an exact count that does not depend on the machine's speed. The compiled
+engine does its own rank arithmetic, so ``scan`` is ``_kernel_c.scan``
+itself. What the rest of the package numbers candidates with,
+``stage_shape``, ``_rank_lex`` and ``_unrank_lex``, and the engines' limits
+``MAX_N`` and ``MAX_L`` are re-exported from :mod:`rmra._kernel_py`.
 """
 
 from . import _kernel_py

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 _FIRST_CHUNK = 1 << 16  # candidates in a stage's first chunk
-_FAST_S, _SLOW_S = 0.05, 0.25  # per-call seconds that grow or shrink the next chunk
+_GROW_NODES, _SHRINK_NODES = 1 << 22, 1 << 24  # a call's nodes: grow or shrink the next chunk
 _CHECKPOINT_VERSION = 2
 
 
@@ -248,10 +248,12 @@ def run_stage(
 
     Chunks run in rank order on the calling thread, so the first find is the
     lexicographic first. A chunk's cost follows the pruned search tree, not
-    its candidate count, so chunk sizes follow the measured time per call:
-    doubled after a call under ``_FAST_S``, halved after one over
-    ``_SLOW_S``. ``on_progress`` receives each chunk end: no valid candidate
-    lies between ``start_index`` and it.
+    its candidate count, so the next chunk is doubled after a call of fewer
+    than ``_GROW_NODES`` nodes and halved after one of more than
+    ``_SHRINK_NODES`` (about 50 and 250 ms of the compiled engine). No clock
+    is read, so chunk bounds and checkpoint frontiers repeat on any machine.
+    ``on_progress`` receives each chunk end: no valid candidate lies between
+    ``start_index`` and it.
 
     ``start_index`` resumes the stage mid-enumeration (checkpointing). It
     must be a confirmed frontier: no valid array may lie below it. Every
@@ -266,15 +268,14 @@ def run_stage(
     chunk, lo = _FIRST_CHUNK, start_index
     while lo < size:
         hi = min(lo + chunk, size)
-        t1 = time.perf_counter()
-        _, offset, positions, index = kernel.scan(n, l, lo, hi - lo, filtered)
-        t2 = time.perf_counter()
+        _, offset, positions, index, nodes = kernel.scan(n, l, lo, hi, filtered)
         if offset >= 0:  # lo + offset + 1 is the prefix count: identical on resume
             arr = SensorArray(positions)
-            return StageResult(l, StageOutcome.FOUND, lo + offset + 1, t2 - t0, arr, index)
-        if t2 - t1 < _FAST_S:
+            elapsed = time.perf_counter() - t0
+            return StageResult(l, StageOutcome.FOUND, lo + offset + 1, elapsed, arr, index)
+        if nodes < _GROW_NODES:
             chunk *= 2
-        elif t2 - t1 > _SLOW_S:
+        elif nodes > _SHRINK_NODES:
             chunk = max(1, chunk // 2)
         if on_progress is not None:
             on_progress(hi)
@@ -407,6 +408,11 @@ def loses_search(
         stages = [StageResult.from_dict(d) for d in payload["stages"]]
         l = payload["l"]
         start_index = payload["next_index"]
+        where = f"checkpoint {ckpt} resumes at"  # sealed, but outside this run's stages
+        if not cfg.n <= l <= upper + 1:
+            raise CorruptCheckpoint(f"{where} aperture {l}, outside {cfg.n}..{upper + 1}")
+        if start_index > candidate_count(cfg.n, l, cfg.prune_filters):
+            raise CorruptCheckpoint(f"{where} rank {start_index}, past the end of stage {l}")
 
     last_saved = time.monotonic()  # one timer across stages
 

@@ -13,9 +13,10 @@ from rmra.search import candidate_count
 
 
 def test_bench_scans_whole_stage():
-    dt, total = bench_backend(_kernel_py.scan, 6, 8, False, 1)
+    dt, total, nodes = bench_backend(_kernel_py.scan, 6, 8, False, 1)
     assert total == candidate_count(6, 8, False)
     assert dt > 0
+    assert nodes == total  # the pure-Python walk tests every candidate
 
 
 def test_bench_main_runs(capsys):
@@ -44,7 +45,7 @@ def test_bench_defaults_to_the_17_sensor_proof(capsys, monkeypatch):
 
     def fake(scan, n, l, filtered, repeat):
         timed.append((n, l, filtered))
-        return 0.25, candidate_count(n, l, filtered)
+        return 0.25, candidate_count(n, l, filtered), 1_000
 
     monkeypatch.setattr(bench, "bench_backend", fake)
     assert main(["--repeat", "1"]) == 0
@@ -70,9 +71,11 @@ def test_bench_search_times_one_run(capsys):
 def test_bench_rejects_a_stage_that_is_not_exhausted():
     total = candidate_count(6, 8, False)
     with pytest.raises(RuntimeError, match="unexpectedly contains a valid array"):
-        bench_backend(lambda n, l, start, count, filtered: (1, 0, [0]), 6, 8, False, 1)
+        bench_backend(lambda n, l, start, end, filtered: (1, 0, [0], 0, 1), 6, 8, False, 1)
     with pytest.raises(RuntimeError, match=f"scanned {total - 1} of {total} candidates"):
-        bench_backend(lambda n, l, start, count, filtered: (count - 1, -1, None), 6, 8, False, 1)
+        bench_backend(
+            lambda n, l, start, end, filtered: (end - 1, -1, None, None, 1), 6, 8, False, 1
+        )
 
 
 def test_bench_search_prints_text(capsys):
@@ -91,15 +94,24 @@ def test_bench_reports_the_engine_nodes(capsys):
     assert doc["nodes_per_s"] == pytest.approx(9_630 / doc["seconds"])
     assert main(["--n", "12", "--l", "27", "--filtered", "--repeat", "1"]) == 0
     assert " ms   9,630 nodes, " in capsys.readouterr().out
-    assert bench.stage_nodes(12, 27, True) == 9_630
 
 
-def test_bench_nodes_are_null_on_the_python_backend(capsys, monkeypatch):
+def test_bench_counts_the_candidates_the_python_backend_tests(capsys, monkeypatch):
     monkeypatch.setattr(bench.kernel, "BACKEND", "python")
     monkeypatch.setattr(bench.kernel, "scan", _kernel_py.scan)
     assert main(["--n", "6", "--l", "8", "--repeat", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["backend"] == "python"
-    assert (doc["nodes"], doc["nodes_per_s"]) == (None, None)
+    assert doc["nodes"] == 35  # every candidate of the stage
+    assert doc["nodes_per_s"] == pytest.approx(35 / doc["seconds"])
     assert main(["--n", "6", "--l", "8", "--repeat", "1"]) == 0
-    assert "nodes" not in capsys.readouterr().out
+    assert " ms   35 nodes, " in capsys.readouterr().out
+
+
+def test_bench_search_runs_on_the_python_backend(capsys, monkeypatch):
+    # --search times no stage, so the reference stage's guard does not apply
+    monkeypatch.setattr(bench.kernel, "BACKEND", "python")
+    monkeypatch.setattr(bench.kernel, "scan", _kernel_py.scan)
+    assert main(["--search", "7", "--repeat", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["backend"], doc["verdict"], doc["optimal_aperture"]) == ("python", "optimal", 9)

@@ -38,7 +38,8 @@ needs_c = pytest.mark.skipif(not HAS_C, reason="compiled kernel not built")
 
 
 def full_scan(scan, n, l, filtered):
-    return scan(n, l, 0, candidate_count(n, l, filtered), filtered)
+    """One call over the whole stage, without the engine's own node count."""
+    return scan(n, l, 0, candidate_count(n, l, filtered), filtered)[:4]
 
 
 def windowed_scan(scan, n, l, filtered, width=7):
@@ -47,18 +48,18 @@ def windowed_scan(scan, n, l, filtered, width=7):
     returned as one whole-stage call would return it."""
     size = candidate_count(n, l, filtered)
     for lo in range(0, size, width):
-        examined, offset, positions, index = scan(n, l, lo, width, filtered)
+        examined, offset, positions, index, _ = scan(n, l, lo, min(lo + width, size), filtered)
         if offset >= 0:
             return lo + examined, lo + offset, positions, index
     return size, -1, None, None
 
 
-def oracle(n, l, start, count, filtered):
-    """``scan``'s answer by brute force, sharing no scanning code with either
-    engine: walk the window's candidates in rank order and take the first
-    that ``rmra_check`` passes and that comes no later than its mirror."""
+def oracle(n, l, start, end, filtered):
+    """``scan``'s answer, less its node count, by brute force, sharing no
+    scanning code with either engine: walk the window's candidates in rank
+    order and take the first that ``rmra_check`` passes and that comes no
+    later than its mirror."""
     k, m, _ = kernel.stage_shape(n, l, filtered)
-    end = min(start + count, math.comb(m, k))
     for r in range(start, end):
         if filtered:
             arr = SensorArray((0, 1, *(v + 2 for v in _unrank_lex(r, m, k)), l - 1, l))
@@ -66,12 +67,12 @@ def oracle(n, l, start, count, filtered):
             arr = unrank_candidate(n, l, r)
         if rmra_check(arr, n, l).overall and arr.positions <= mirror(arr).positions:
             return r - start + 1, r - start, list(arr.positions), rank_candidate(n, l, arr)
-    return max(0, end - start), -1, None, None
+    return end - start, -1, None, None
 
 
 def assert_unfiltered_index(n, l, result):
     """A find's 4th element is its rank in the unfiltered numbering."""
-    _, offset, positions, index = result
+    _, offset, positions, index = result[:4]
     assert index == (rank_candidate(n, l, positions) if offset >= 0 else None)
 
 
@@ -149,10 +150,11 @@ def test_backends_agree_on_windows_at_the_first_valid_array(n, l, filtered):
         windows += [(edge, count) for count in (1, 2, 500)]  # starting at edge
         windows += [(edge - count + 1, count) for count in (1, 2, 500)]  # ending at edge
     for start, count in windows:
-        out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
-        assert out["python"] == out["c"], (start, count)
+        end = start + count
+        out = {name: scan(n, l, start, end, filtered)[:4] for name, scan in BACKENDS.items()}
+        assert out["python"] == out["c"], (start, end)
         found_at = start + out["c"][1] if out["c"][1] >= 0 else None
-        assert (found_at == r) == (start <= r < start + count)
+        assert (found_at == r) == (start <= r < end)
 
 
 @needs_c
@@ -164,9 +166,9 @@ def test_backends_agree_on_random_ranges():
         filtered = rng.random() < 0.5
         size = candidate_count(n, l, filtered)
         start = rng.randrange(size)
-        count = rng.randint(1, size - start)
-        out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
-        assert out["python"] == out["c"], (n, l, filtered, start, count)
+        end = rng.randint(start + 1, size)
+        out = {name: scan(n, l, start, end, filtered)[:4] for name, scan in BACKENDS.items()}
+        assert out["python"] == out["c"], (n, l, filtered, start, end)
         assert_unfiltered_index(n, l, out["c"])
 
 
@@ -182,7 +184,7 @@ def test_windows_with_tied_ends_match_the_oracle(n, l, filtered):
     # at the window's first and last candidate and just outside either end.
     k, m, _ = kernel.stage_shape(n, l, filtered)
     size = math.comb(m, k)
-    finds = [r for r in range(size) if oracle(n, l, r, 1, filtered)[1] == 0]
+    finds = [r for r in range(size) if oracle(n, l, r, r + 1, filtered)[1] == 0]
     assert len(finds) >= 10
     windows = list(zip(finds, [b - a + 1 for a, b in zip(finds, finds[1:])]))
     windows += [(a + 1, b - a) for a, b in zip(finds, finds[1:])]
@@ -193,12 +195,13 @@ def test_windows_with_tied_ends_match_the_oracle(n, l, filtered):
     for start, count in windows:
         if not 0 <= start < size:
             continue
+        end = min(start + count, size)
         first = _unrank_lex(start, m, k)
-        last = _unrank_lex(min(start + count, size) - 1, m, k)
+        last = _unrank_lex(end - 1, m, k)
         shared = max(shared, next((i for i in range(k) if first[i] != last[i]), k))
-        expected = oracle(n, l, start, count, filtered)
+        expected = oracle(n, l, start, end, filtered)
         for name, scan in BACKENDS.items():
-            assert scan(n, l, start, count, filtered) == expected, (name, start, count)
+            assert scan(n, l, start, end, filtered)[:4] == expected, (name, start, end)
     assert shared >= k - 1
 
 
@@ -217,20 +220,22 @@ def test_backends_agree_across_the_word_boundary():
             n = rng.randint(6, 8)
             l = rng.randint(lo, hi)
             filtered = rng.random() < 0.5
-            start = rng.randrange(candidate_count(n, l, filtered))
-            windows.append((n, l, filtered, start, rng.randint(1, 3000)))
+            size = candidate_count(n, l, filtered)
+            start = rng.randrange(size)
+            windows.append((n, l, filtered, start, min(start + rng.randint(1, 3000), size)))
     for entry in all_entries():
         if entry.family != "RMRA" or entry.l < 60:
             continue
         n, l = entry.n, entry.l
         for arr in (entry.positions, tuple(l - p for p in reversed(entry.positions))):
-            windows.append((n, l, False, max(0, rank_candidate(n, l, arr) - 700), 1000))
+            start = max(0, rank_candidate(n, l, arr) - 700)
+            windows.append((n, l, False, start, start + 1000))
     assert {l <= 63 for _, l, *_ in windows} == {True, False}
     assert {l <= 127 for _, l, *_ in windows} == {True, False}
     two_word_finds = 0
-    for n, l, filtered, start, count in windows:
-        out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
-        assert out["python"] == out["c"], (n, l, filtered, start, count)
+    for n, l, filtered, start, end in windows:
+        out = {name: scan(n, l, start, end, filtered)[:4] for name, scan in BACKENDS.items()}
+        assert out["python"] == out["c"], (n, l, filtered, start, end)
         assert_unfiltered_index(n, l, out["c"])
         two_word_finds += l > 63 and out["c"][1] >= 0
     assert two_word_finds
@@ -273,32 +278,37 @@ def test_backends_agree_on_finds_at_wide_ranks(positions, bits, canonical):
     assert (arr.positions <= mirror(arr).positions) == canonical
     r = rank_candidate(n, l, positions)
     assert r.bit_length() == bits
-    for start, count in ((r - 200, 400), (r, 1)):
-        out = {name: scan(n, l, start, count) for name, scan in BACKENDS.items()}
+    for start, end in ((r - 200, r + 200), (r, r + 1)):
+        out = {name: scan(n, l, start, end)[:4] for name, scan in BACKENDS.items()}
         found = (r - start + 1, r - start, list(positions), r)
-        assert out["python"] == out["c"] == (found if canonical else (count, -1, None, None))
+        assert out["python"] == out["c"] == (found if canonical else (end - start, -1, None, None))
 
 
 @needs_c
 @pytest.mark.parametrize("filtered", [False, True])
 def test_backends_agree_on_the_141_bit_stage_end(filtered):
     # Stage 36/253 has C(252, 34) unfiltered candidates, a 141-bit count
-    # (C(250, 32) filtered).
-    # Windows that end at the stage end, or would run past it, clamp
-    # `examined` to what is left. Such windows are cut at the first decisions.
+    # (C(250, 32) filtered). Windows that end exactly at the stage end, an
+    # end rank that needs all three words of the engine's ranks, examine
+    # what is left; the engine cuts them at the first decisions. One rank
+    # further is past the stage on both engines.
     n, l = 36, 253
     size = candidate_count(n, l, filtered)
     assert size.bit_length() == (135 if filtered else 141)
-    for start, count in ((size - 500, 500), (size - 500, 10**6), (size - 1, 2**200)):
-        out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
-        assert out["python"] == out["c"] == (size - start, -1, None, None), (start, count)
+    for start in (size - 500, size - 1):
+        out = {name: scan(n, l, start, size, filtered)[:4] for name, scan in BACKENDS.items()}
+        assert out["python"] == out["c"] == (size - start, -1, None, None), start
+        for scan in BACKENDS.values():
+            with pytest.raises(ValueError, match="end rank outside"):
+                scan(n, l, start, size + 1, filtered)
 
 
 @needs_c
 def test_backends_agree_on_windows_past_the_stage_end():
     # Each window starts mid-stage, so the compiled kernel rebuilds its
-    # per-depth state from an arbitrary combination, and asks for more
-    # candidates than remain, so the enumeration runs out before the count.
+    # per-depth state from an arbitrary combination. Ending at the stage end,
+    # the enumeration runs out with the window; ending past it, the window
+    # is rejected by both engines with the same message.
     rng = random.Random(2718)
     for _ in range(80):
         n = rng.randint(5, 11)
@@ -306,12 +316,18 @@ def test_backends_agree_on_windows_past_the_stage_end():
         filtered = rng.random() < 0.5
         size = candidate_count(n, l, filtered)
         start = rng.randrange(max(0, size - 2000), size)
-        count = size - start + rng.randint(1, 10**6)
-        out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
+        out = {name: scan(n, l, start, size, filtered)[:4] for name, scan in BACKENDS.items()}
         assert out["python"] == out["c"], (n, l, filtered, start)
         assert_unfiltered_index(n, l, out["c"])
         examined, offset, _, _ = out["c"]
         assert examined == (offset + 1 if offset >= 0 else size - start)
+        end = size + rng.randint(1, 10**6)
+        errors = set()
+        for scan in BACKENDS.values():
+            with pytest.raises(ValueError) as info:
+                scan(n, l, start, end, filtered)
+            errors.add(str(info.value))
+        assert len(errors) == 1, errors
 
 
 @needs_c
@@ -341,7 +357,7 @@ def test_single_candidate_matches_reference_checker(name):
             windows.append((n, l, rank_candidate(n, l, arr)))
     verdicts = set()
     for n, l, idx in windows:
-        examined, offset, positions, index = scan(n, l, idx, 1)
+        examined, offset, positions, index, _ = scan(n, l, idx, idx + 1)
         assert examined == 1
         arr = unrank_candidate(n, l, idx)
         valid = rmra_check(arr, n, l).overall
@@ -380,9 +396,11 @@ def test_engine_counts_a_138_bit_window_exactly():
     # decisions: the engine exhausts C(251, 34) candidates at once, and
     # `examined` needs all three words of a rank. Only the count can be
     # checked; the pure-Python scanner would visit each candidate.
-    start = math.comb(251, 33)
-    assert BACKENDS["c"](36, 253, start, 2**200) == (math.comb(251, 34), -1, None, None)
-    assert BACKENDS["c"](36, 253, start, 2**137 + 5) == (2**137 + 5, -1, None, None)
+    start, size = math.comb(251, 33), math.comb(252, 34)
+    assert BACKENDS["c"](36, 253, start, size)[:4] == (math.comb(251, 34), -1, None, None)
+    window = BACKENDS["c"](36, 253, start, start + 2**137 + 5)
+    assert window[:4] == (2**137 + 5, -1, None, None)
+    assert window[4] < 10  # cut at the first decisions
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -400,8 +418,17 @@ def test_guards(name):
         with pytest.raises(ValueError) as info:
             scan(n, l, 0, 1, False)
         assert str(info.value) == message
-
-    assert scan(6, 9, 0, 0, False) == (0, -1, None, None)
+    # windows: 0 <= start < end <= the stage size, C(8, 4) = 70 for 6/9
+    windows = [
+        (70, 71, "start rank outside the stage's 4-of-8 enumeration"),
+        (0, 0, "end rank outside start+1..the size of the stage's 4-of-8 enumeration"),
+        (5, 4, "end rank outside start+1..the size of the stage's 4-of-8 enumeration"),
+        (0, 71, "end rank outside start+1..the size of the stage's 4-of-8 enumeration"),
+    ]
+    for start, end, message in windows:
+        with pytest.raises(ValueError) as info:
+            scan(6, 9, start, end, False)
+        assert str(info.value) == message
 
 
 def test_one_definition_numbers_every_stage():
@@ -424,7 +451,7 @@ def test_one_definition_numbers_every_stage():
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_scan_has_no_mirror_switch(name):
     # Skipping arrays whose mirror comes first is the engines' rule, not an
-    # option: scan(n, l, start, count, filtered) takes nothing more.
+    # option: scan(n, l, start, end, filtered) takes nothing more.
     scan = BACKENDS[name]
     with pytest.raises(TypeError):
         scan(6, 9, 0, 1, False, True)
@@ -440,8 +467,8 @@ def test_backends_reject_the_same_bad_windows(filtered):
     size = candidate_count(n, l, filtered)
     bad = [
         (-1, 1, ValueError),
-        (size, 1, ValueError),  # start past the last rank
-        (size + 1, 0, ValueError),  # checked before the count
+        (size, size + 1, ValueError),  # start past the last rank
+        (size + 1, "x", ValueError),  # checked before the end
         (-(2**70), 1, ValueError),
         (2**200, 1, ValueError),
         (1.0, 1, TypeError),
@@ -450,24 +477,22 @@ def test_backends_reject_the_same_bad_windows(filtered):
         (None, 1, TypeError),
         (0, 1.0, TypeError),
         (0, None, TypeError),
+        (0, 0, ValueError),  # an empty window: end <= start
+        (5, 5, ValueError),
+        (5, 4, ValueError),
+        (size - 1, -1, ValueError),
+        (0, -(2**70), ValueError),
+        (0, size + 1, ValueError),  # end past the stage
+        (size - 1, 2**200, ValueError),
     ]
-    for start, count, error in bad:
+    for start, end, error in bad:
+        messages = set()
         for scan in BACKENDS.values():
-            with pytest.raises(error):
-                scan(n, l, start, count, filtered)
-    for count in (0, -1, -(2**70)):
-        for start in (0, size - 1):
-            out = {name: scan(n, l, start, count, filtered) for name, scan in BACKENDS.items()}
-            assert out["python"] == out["c"] == (0, -1, None, None)
-
-
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_count_beyond_64_bits_scans_to_the_stage_end(name):
-    scan = BACKENDS[name]
-    size = candidate_count(6, 9, False)
-    assert scan(6, 9, 0, 2**70) == (size, -1, None, None)
-    assert scan(6, 9, 0, 2**300) == (size, -1, None, None)
-    assert scan(6, 9, 0, -(2**70)) == (0, -1, None, None)
+            with pytest.raises(error) as info:
+                scan(n, l, start, end, filtered)
+            messages.add(str(info.value))
+        if error is ValueError:
+            assert len(messages) == 1, (start, end, messages)
 
 
 def test_rank_lex_round_trips_past_141_bits():
@@ -509,30 +534,27 @@ def test_engine_node_counts_are_pinned_and_repeat(n, l, filtered):
     found, nodes = STAGE_NODES[n, l, filtered]
     scan = BACKENDS["c"]
     size = candidate_count(n, l, filtered)
-    first = scan(n, l, 0, size, filtered, nodes=True)
+    first = scan(n, l, 0, size, filtered)
     assert (first[1] >= 0, first[4]) == (found, nodes)
-    assert scan(n, l, 0, size, filtered, nodes=True) == first
+    assert scan(n, l, 0, size, filtered) == first
 
 
 @needs_c
-def test_nodes_flag_appends_the_count_to_the_result():
-    scan = BACKENDS["c"]
+def test_both_engines_return_their_node_count():
+    # The 5th element is the call's work: the compiled engine's search nodes,
+    # the candidates the pure-Python walk tested, which are all it examined.
     windows = [
-        (11, 22, 0, 10**9, False),
-        (12, 27, 0, 10**9, True),
-        (9, 14, 5, 300, True),
-        (6, 9, 0, 0, False),
-        (6, 9, 3, -5, False),
+        (11, 22, 0, 10**5, False),  # the stage's first valid array at rank 5,499
+        (12, 27, 700_000, 735_471, True),  # the end of an exhausted stage
+        (9, 14, 5, 305, True),
+        (6, 9, 3, 4, False),  # past the pair budget: the engine searches no node
         (36, 253, 0, 500, False),
     ]
-    for n, l, start, count, filtered in windows:
-        plain = scan(n, l, start, count, filtered)
-        counted = scan(n, l, start, count, filtered, nodes=True)
-        assert len(plain) == 4 and counted[:4] == plain
-        assert type(counted[4]) is int and counted[4] >= 0
-        assert scan(n, l, start, count, filtered, nodes=False) == plain
-    assert scan(6, 9, 0, 0, nodes=True) == (0, -1, None, None, 0)  # nothing searched
-    with pytest.raises(TypeError):  # keyword-only
-        scan(6, 9, 0, 1, False, True)
-    with pytest.raises(TypeError):  # the fallback walks candidates and has no count
-        BACKENDS["python"](6, 9, 0, 1, False, nodes=True)
+    for n, l, start, end, filtered in windows:
+        out = {name: scan(n, l, start, end, filtered) for name, scan in BACKENDS.items()}
+        assert out["python"][:4] == out["c"][:4]
+        assert out["python"][4] == out["python"][0]
+        assert type(out["c"][4]) is int and (out["c"][4] == 0) == (l > aperture_upper_bound(n))
+    for scan in BACKENDS.values():
+        with pytest.raises(TypeError):  # the count is always returned; no switch asks for it
+            scan(6, 9, 0, 1, False, nodes=True)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmra import kernel, search
+from rmra.cli import main
 from rmra.coarray import SensorArray
 from rmra.robustness import rmra_check
 from rmra.search import (
@@ -209,10 +210,10 @@ class TestChunkLoop:
         chunks, threads = [], set()
         scan = kernel.scan
 
-        def recording(n, l, start, count, *args):
-            chunks.append((start, start + count))
+        def recording(n, l, start, end, *args):
+            chunks.append((start, end))
             threads.add(threading.get_ident())
-            return scan(n, l, start, count, *args)
+            return scan(n, l, start, end, *args)
 
         monkeypatch.setattr(kernel, "scan", recording)
         frontiers = []
@@ -228,25 +229,49 @@ class TestChunkLoop:
         assert frontiers[-1] == size
         assert threads == {threading.get_ident()}  # every chunk runs on the calling thread
 
-    def test_chunks_follow_measured_call_time(self, monkeypatch):
-        # doubled after a call under 50 ms, halved after one over 250 ms; a
-        # fake clock advances only inside the scan, by that call's seconds
-        seconds = iter([0.01, 0.01, 0.3, 0.1, 0.01])
-        clock = [0.0]
+    def test_chunks_follow_call_node_counts(self, monkeypatch):
+        # doubled after a call of fewer than 2**22 nodes, halved after one of
+        # more than 2**24, kept in between; the clock plays no part
+        nodes = iter([1 << 20, (1 << 22) - 1, 1 << 22, (1 << 24) + 1, 1 << 24, 5])
         sizes = []
 
-        def timed(n, l, start, count, *args):
-            sizes.append(count)
-            clock[0] += next(seconds)
-            return count, -1, None, None
+        def counted(n, l, start, end, *args):
+            sizes.append(end - start)
+            return end - start, -1, None, None, next(nodes)
 
-        monkeypatch.setattr(kernel, "scan", timed)
-        monkeypatch.setattr(search.time, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(kernel, "scan", counted)
         c = search._FIRST_CHUNK
         size = candidate_count(12, 27, False)
-        res = run_stage(12, 27, False, start_index=size - 10 * c)
+        res = run_stage(12, 27, False, start_index=size - 15 * c)
         assert res.outcome is StageOutcome.EXHAUSTED
-        assert sizes == [c, 2 * c, 4 * c, 2 * c, c]  # the last chunk ends at the stage end
+        assert sizes == [c, 2 * c, 4 * c, 4 * c, 2 * c, 2 * c]  # the last ends at the stage end
+
+    @pytest.mark.skipif(kernel.BACKEND != "c", reason="compiled kernel not built")
+    def test_chunks_repeat_under_any_clock(self, monkeypatch):
+        # A clock that reads 1 us per call and one that reads 10 s per call
+        # give the same calls, so chunk bounds and node sums repeat on any
+        # machine; the node sums are those of run_stage's calls.
+        scan = kernel.scan
+
+        def calls(cfg, tick=None):
+            made = []
+
+            def recording(n, l, start, end, *args):
+                result = scan(n, l, start, end, *args)
+                made.append((l, start, end, result[4]))
+                return result
+
+            with monkeypatch.context() as m:
+                m.setattr(kernel, "scan", recording)
+                if tick is not None:
+                    ticks = itertools.count()
+                    m.setattr(search.time, "perf_counter", lambda: next(ticks) * tick)
+                loses_search(cfg)
+            return made
+
+        assert calls(SearchConfig(n=14), 1e-6) == calls(SearchConfig(n=14), 10.0)
+        assert sum(c[3] for c in calls(SearchConfig(n=12))) == 12_117
+        assert sum(c[3] for c in calls(SearchConfig(n=11, prune_filters=False))) == 3_388
 
     def test_start_index_past_the_stage_end_is_an_error(self):
         size = candidate_count(8, 13, False)
@@ -432,6 +457,38 @@ class TestCheckpoints:
         with pytest.raises(CorruptCheckpoint, match="lacks the field 'n'"):
             loses_search(SearchConfig(n=6, checkpoint_path=path))
         assert path.exists()  # a rejected file is left for the user
+
+    def test_sealed_checkpoint_with_an_aperture_outside_the_run_rejected(self, capsys, tmp_path):
+        # digest-valid files whose aperture no n = 8 run reaches: below n, or
+        # past the first stage beyond the pair budget (upper bound 14, so 15)
+        path, filters = tmp_path / "run.ckpt", {"prune_filters": True}
+        for l in (7, 16, 300):
+            checkpoint_save(path, n=8, l=l, next_index=0, stages=[], filters=filters)
+            with pytest.raises(CorruptCheckpoint, match=f"checkpoint {path} resumes at aperture"):
+                loses_search(SearchConfig(n=8, checkpoint_path=path))
+            assert main(["search", "--n", "8", "--checkpoint", str(path)]) == 3
+            assert capsys.readouterr().err == (
+                f"error: checkpoint {path} resumes at aperture {l}, outside 8..15\n"
+            )
+            assert path.exists()  # a rejected file is left for the user
+
+    def test_sealed_checkpoint_with_a_rank_past_its_stage_rejected(self, capsys, tmp_path):
+        path = tmp_path / "run.ckpt"
+        size = candidate_count(8, 12, True)
+        checkpoint_save(path, n=8, l=12, next_index=size + 1, stages=[],
+                        filters={"prune_filters": True})
+        with pytest.raises(CorruptCheckpoint, match=f"checkpoint {path} resumes at rank"):
+            loses_search(SearchConfig(n=8, checkpoint_path=path))
+        assert main(["search", "--n", "8", "--checkpoint", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {path} resumes at rank {size + 1}, past the end of stage 12\n"
+        )
+        assert path.exists()
+        # the stage end itself is a frontier a run can leave: that stage is exhausted
+        checkpoint_save(path, n=8, l=12, next_index=size, stages=[],
+                        filters={"prune_filters": True})
+        out = loses_search(SearchConfig(n=8, checkpoint_path=path))
+        assert [(s.l, s.candidates_examined) for s in out.stages] == [(12, size)]
 
     def test_checkpoint_written_during_run(self, tmp_path):
         path = tmp_path / "run.ckpt"
